@@ -29,6 +29,7 @@ import numpy as np
 from . import codec, vectorize
 from .corpus import Corpus, Document
 from .rng import SplitMix64, derive_seed
+from .sparse import CsrRows, as_rows
 
 FORMAT_VERSION = "1.0"
 
@@ -95,40 +96,55 @@ def fit(spec: ClassifierSpec, schema: vectorize.FeatureSchema, train: Corpus) ->
     labels = [d.label for d in train]
     if any(label is None for label in labels):
         raise ValueError("training corpus contains unlabeled documents")
-    X = vectorize.transform_matrix(schema, train.documents)
+    X = vectorize.transform_rows(schema, train.documents)
     return fit_vectors(spec, X, labels, schema=schema)
 
 
 def fit_vectors(
     spec: ClassifierSpec,
-    X: np.ndarray,
+    X: np.ndarray | CsrRows,
     labels: Sequence[str],
     schema: Optional[vectorize.FeatureSchema] = None,
 ) -> TrainedModel:
-    """Fit on a precomputed feature matrix (rows align with ``labels``)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != len(labels):
+    """Fit on precomputed feature rows, dense or CSR (rows align with ``labels``)."""
+    X = as_rows(X)
+    if X.shape[0] != len(labels):
         raise ValueError("X must be 2-D with one row per label")
-    if not np.isfinite(X).all():
+    if not np.isfinite(X.data).all():
         raise ValueError("feature matrix contains NaN or inf")
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("training data must contain at least 2 labels")
     index = {label: i for i, label in enumerate(classes)}
     y = np.asarray([index[label] for label in labels], dtype=np.int64)
+    if spec.kind not in _SPARSE_KINDS:
+        X = X.toarray()
     params = _FITTERS[spec.kind](spec, X, y, len(classes))
     return TrainedModel(schema=schema, spec=spec, labels=classes, parameters=params)
 
 
-def _class_masses(X, y, n_classes):
-    # one-hot matmul: one pass over X instead of a masked pass per class
-    Y = np.zeros((n_classes, X.shape[0]))
-    Y[y, np.arange(X.shape[0])] = 1.0
-    return Y @ X
+# kinds whose arithmetic runs on CSR rows; the others get dense matrices
+_SPARSE_KINDS = ("mnb", "cnb")
 
 
-def _require_nonnegative(X, kind):
-    if X.min() < 0:
+def _class_masses(X: CsrRows, y, n_classes):
+    """Per-class column sums: one bincount over (class, column) cells."""
+    dim = X.shape[1]
+    cells = y[X.row_ids()] * dim + X.indices
+    return np.bincount(cells, weights=X.data, minlength=n_classes * dim).reshape(n_classes, dim)
+
+
+def _dot_t(X: CsrRows, W: np.ndarray) -> np.ndarray:
+    """X @ W.T, one bincount over the stored values per row of W."""
+    rows = X.row_ids()
+    out = np.empty((X.shape[0], W.shape[0]))
+    for c in range(W.shape[0]):
+        out[:, c] = np.bincount(rows, weights=X.data * W[c, X.indices], minlength=X.shape[0])
+    return out
+
+
+def _require_nonnegative(X: CsrRows, kind):
+    if X.data.size and X.data.min() < 0:
         raise ValueError(f"{kind} requires nonnegative feature values")
 
 
@@ -166,7 +182,7 @@ def _fit_gnb(spec, X, y, n_classes):
 
 
 def _fit_knn(spec, X, y, n_classes):
-    return {"train_matrix": X.copy(), "train_label_idx": y.copy()}
+    return {"train_matrix": X, "train_label_idx": y.copy()}
 
 
 def _fit_perceptron(spec, X, y, n_classes):
@@ -264,8 +280,8 @@ def predict(model: TrainedModel, doc: Document) -> tuple[str, np.ndarray]:
     """(label, per-label scores aligned with model.labels) for one document."""
     if model.schema is None:
         raise ValueError("model carries no feature schema; use predict_vector")
-    x = vectorize.transform_matrix(model.schema, [doc])[0]
-    return predict_vector(model, x)
+    labels, scores = predict_matrix(model, vectorize.transform_rows(model.schema, [doc]))
+    return labels[0], scores[0]
 
 
 def predict_vector(model: TrainedModel, x: np.ndarray) -> tuple[str, np.ndarray]:
@@ -273,11 +289,15 @@ def predict_vector(model: TrainedModel, x: np.ndarray) -> tuple[str, np.ndarray]
     return model.labels[int(np.argmax(scores))], scores
 
 
-def predict_matrix(model: TrainedModel, X: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Batch prediction; returns (labels, score matrix of shape (n, |labels|))."""
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
+def predict_matrix(
+    model: TrainedModel, X: np.ndarray | CsrRows
+) -> tuple[list[str], np.ndarray]:
+    """Batch prediction on dense or CSR rows; (labels, scores of shape (n, |labels|))."""
+    X = as_rows(X)
+    if not np.isfinite(X.data).all():
         raise ValueError("feature matrix contains NaN or inf")
+    if model.spec.kind not in _SPARSE_KINDS:
+        X = X.toarray()
     scores = _SCORERS[model.spec.kind](model, X)
     winners = [model.labels[i] for i in np.argmax(scores, axis=1)]
     return winners, scores
@@ -286,17 +306,16 @@ def predict_matrix(model: TrainedModel, X: np.ndarray) -> tuple[list[str], np.nd
 def predict_corpus(model: TrainedModel, corpus: Corpus) -> tuple[list[str], np.ndarray]:
     if model.schema is None:
         raise ValueError("model carries no feature schema; use predict_matrix")
-    X = vectorize.transform_matrix(model.schema, corpus.documents)
-    return predict_matrix(model, X)
+    return predict_matrix(model, vectorize.transform_rows(model.schema, corpus.documents))
 
 
 def _score_mnb(model, X):
     p = model.parameters
-    return p["log_prior"][None, :] + X @ p["log_likelihood"].T
+    return p["log_prior"][None, :] + _dot_t(X, p["log_likelihood"])
 
 
 def _score_cnb(model, X):
-    return X @ model.parameters["feature_log_prob"].T
+    return _dot_t(X, model.parameters["feature_log_prob"])
 
 
 def _score_gnb(model, X):

@@ -70,7 +70,7 @@ def _parse_feature(token: str, default_encoding, ngram3_cap, normalize):
     return evaluate.FeatureConfig(method, encoding, ngram3_cap, normalize)
 
 
-def _classifier_spec(args, model_alias: str):
+def _flag_hyperparameters(args) -> dict:
     flag_map = {
         "alpha": "alpha",
         "k": "k",
@@ -86,6 +86,10 @@ def _classifier_spec(args, model_alias: str):
         value = getattr(args, flag, None)
         if value is not None:
             hp[name] = value
+    return hp
+
+
+def _classifier_spec(args, model_alias: str, hp: dict):
     try:
         return classify.ClassifierSpec(
             kind=MODEL_ALIASES[model_alias], hyperparameters=hp, seed=args.seed
@@ -129,7 +133,7 @@ def cmd_train(args) -> int:
     config = _parse_feature(
         args.features, args.encoding, args.ngram3_cap, not args.no_normalize
     )
-    spec = _classifier_spec(args, args.model)
+    spec = _classifier_spec(args, args.model, _flag_hyperparameters(args))
     corp = _ingest(args)
     schema = config.fit_schema(corp)
     model = classify.fit(spec, schema, corp)
@@ -165,7 +169,7 @@ def _read_input_docs(args) -> list[Document]:
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
     docs = _read_input_docs(args)
-    X = vectorize.transform_matrix(model.schema, docs)
+    X = vectorize.transform_rows(model.schema, docs)
     labels, scores = classify.predict_matrix(model, X)
     for doc, label, row in zip(docs, labels, scores):
         print(f"{doc.id}\t{label}\t{float(row.max())!r}")
@@ -182,9 +186,18 @@ def cmd_evaluate(args) -> int:
     for name in model_names:
         if name not in MODEL_ALIASES:
             raise UsageError(f"unknown model {name!r}; expected one of {sorted(MODEL_ALIASES)}")
-    specs = [_classifier_spec(args, name) for name in model_names]
-    if not methods or not specs:
+    if not methods or not model_names:
         raise UsageError("need at least one feature method and one model")
+    # each flag goes to the listed kinds that take it; a flag none takes is an error
+    hp = _flag_hyperparameters(args)
+    takes = {name: classify.DEFAULT_HYPERPARAMETERS[MODEL_ALIASES[name]] for name in model_names}
+    for key in hp:
+        if not any(key in names for names in takes.values()):
+            raise UsageError(f"none of the models {model_names} has hyperparameter {key!r}")
+    specs = [
+        _classifier_spec(args, name, {k: v for k, v in hp.items() if k in takes[name]})
+        for name in model_names
+    ]
     corp = _ingest(args)
     split_spec = corpus_mod.SplitSpec(
         train_per_class=args.train_per_class,

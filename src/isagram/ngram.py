@@ -12,8 +12,6 @@ from typing import Union
 
 import numpy as np
 
-from . import kernels
-
 TermSeq = Union[bytes, str]
 
 MAX_N = 3
@@ -45,6 +43,8 @@ def count_subsequence(doc: bytes, pattern: bytes) -> int:
     """Overlapping occurrences of ``pattern`` scanned at every byte offset."""
     if len(pattern) < 1:
         raise ValueError("pattern must be at least one byte")
+    if len(doc) < len(pattern):
+        return 0
     data = np.frombuffer(doc, dtype=np.uint8)
-    pat = np.frombuffer(pattern, dtype=np.uint8)
-    return kernels.count_pattern(data, pat)
+    windows = np.lib.stride_tricks.sliding_window_view(data, len(pattern))
+    return int((windows == np.frombuffer(pattern, dtype=np.uint8)).all(axis=1).sum())

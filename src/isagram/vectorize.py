@@ -12,6 +12,10 @@ concatenated vector is scaled to unit Euclidean norm unless the schema
 disables it.  1- and 2-gram blocks enumerate the full alphabet; the 3-gram
 block holds the top-ranked grams by training occurrence count (ascending
 code order breaking ties), capped at 5000.
+
+Fitting and transforming both read one ``gram_table`` per batch: the
+distinct (doc, code, count) triples for n = 1, 2, 3.  Transforms emit CSR
+rows (``transform_rows``); ``transform_matrix`` is their dense view.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import codec, kernels
+from . import codec
 from .corpus import Corpus, Document
+from .ngram import count_subsequence
+from .sparse import CsrRows
 
 NGRAM3_CAP = 5000
 
@@ -32,7 +38,11 @@ METHODS = TFIDF_METHODS + HIST_METHODS
 
 # 2-byte probe patterns, in feature order: 0x0001, 0x0100, 0xfffe, 0xfeff
 ENDIAN_PATTERNS = (b"\x00\x01", b"\x01\x00", b"\xff\xfe", b"\xfe\xff")
-_ENDIAN_ARRAYS = tuple(np.frombuffer(p, dtype=np.uint8) for p in ENDIAN_PATTERNS)
+# the patterns as raw-byte 2-gram codes in ascending order, and their feature slots
+_PROBE_CODES, _PROBE_COLS = (
+    np.array(x, dtype=np.int64)
+    for x in zip(*sorted((p[0] * 256 + p[1], j) for j, p in enumerate(ENDIAN_PATTERNS)))
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,38 +160,55 @@ def _char_lut(encoding: codec.Encoding) -> np.ndarray:
 _LUT_CACHE: dict[str, np.ndarray] = {}
 
 
-def _payload_codes(payload: bytes, is_char: bool, encoding) -> np.ndarray:
-    """Term-code sequence of one document (byte values or alphabet ranks)."""
-    if not is_char:
-        return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    text = codec.strip_padding(encoding, codec.encode(encoding, payload))
-    if encoding.name not in _LUT_CACHE:
-        _LUT_CACHE[encoding.name] = _char_lut(encoding)
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return _LUT_CACHE[encoding.name][raw]
+def _flat_codes(
+    payloads: Sequence[bytes], is_char: bool, encoding
+) -> tuple[np.ndarray, np.ndarray]:
+    """Term codes of a batch (byte values or alphabet ranks), concatenated.
 
-
-def _flatten(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
-    np.cumsum([s.shape[0] for s in seqs], out=offsets[1:])
-    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int64)
+    Returns the flat code array and offsets of length len(payloads) + 1.
+    """
+    if is_char:
+        texts = [codec.strip_padding(encoding, codec.encode(encoding, p)) for p in payloads]
+        if encoding.name not in _LUT_CACHE:
+            _LUT_CACHE[encoding.name] = _char_lut(encoding)
+        raw = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        flat, lengths = _LUT_CACHE[encoding.name][raw], [len(t) for t in texts]
+    else:
+        flat = np.frombuffer(b"".join(payloads), dtype=np.uint8).astype(np.int64)
+        lengths = [len(p) for p in payloads]
+    offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
     return flat, offsets
 
 
-def _select_grams3(counts3: np.ndarray, base: int, cap: int) -> np.ndarray:
-    """Rank by total count descending, code ascending on ties, cap the block.
+def gram_table(
+    flat: np.ndarray, offsets: np.ndarray, n: int, base: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(doc, code, count) of every distinct length-n window of every document.
 
-    All base^3 candidates compete when they fit under the cap (fixed block);
-    otherwise only grams observed in training enter the ranking.
+    Documents are ``flat[offsets[d]:offsets[d+1]]``; windows advance one term
+    and never cross document boundaries.  A window's code is its terms read
+    as base-``base`` digits.  Triples come sorted by doc, then code.
     """
-    if base ** 3 <= cap:
-        pool = np.arange(base ** 3, dtype=np.int64)
-        pool_counts = counts3
-    else:
-        pool = np.nonzero(counts3)[0].astype(np.int64)
-        pool_counts = counts3[pool]
-    order = np.argsort(-pool_counts, kind="stable")
-    return pool[order[:cap]]
+    n_docs = offsets.shape[0] - 1
+    nwin = np.maximum(np.diff(offsets) - (n - 1), 0)
+    doc = np.repeat(np.arange(n_docs, dtype=np.int64), nwin)
+    first_window = np.cumsum(nwin) - nwin
+    starts = offsets[:-1][doc] + np.arange(doc.shape[0]) - first_window[doc]
+    code = flat[starts].astype(np.int64)
+    for j in range(1, n):
+        code = code * base + flat[starts + j]
+    span = base ** n
+    keys, count = np.unique(doc * span + code, return_counts=True)
+    return keys // span, keys % span, count
+
+
+def _find(sorted_keys: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Index of each code in ``sorted_keys``, or -1 where it is absent."""
+    j = np.searchsorted(sorted_keys, code)
+    found = j < sorted_keys.shape[0]
+    found[found] = sorted_keys[j[found]] == code[found]
+    return np.where(found, j, -1)
 
 
 def fit_tfidf(
@@ -199,15 +226,20 @@ def fit_tfidf(
         raise ValueError("ngram3_cap must be >= 0")
     is_char = mode == "char"
     base = len(encoding.alphabet) if is_char else 256
-    seqs = [_payload_codes(d.payload, is_char, encoding) for d in train]
-    flat, offsets = _flatten(seqs)
-    stats = []
-    for n in (1, 2, 3):
-        counts = np.zeros(base ** n, dtype=np.int64)
-        df = np.zeros(base ** n, dtype=np.int64)
-        kernels.gram_stats(flat, offsets, n, base, counts, df)
-        stats.append((counts, df))
-    codes3 = _select_grams3(stats[2][0], base, ngram3_cap)
+    flat, offsets = _flat_codes([d.payload for d in train], is_char, encoding)
+    # a table row per (doc, distinct gram), so bincount over codes counts documents
+    df1 = np.bincount(gram_table(flat, offsets, 1, base)[1], minlength=base)
+    df2 = np.bincount(gram_table(flat, offsets, 2, base)[1], minlength=base * base)
+    _, code3, count3 = gram_table(flat, offsets, 3, base)
+    # all base^3 candidates compete when they fit under the cap (fixed block);
+    # otherwise only grams observed in training enter the ranking
+    if base ** 3 <= ngram3_cap:
+        pool, slot = np.arange(base ** 3), code3
+    else:
+        pool, slot = np.unique(code3, return_inverse=True)
+    totals = np.bincount(slot, weights=count3, minlength=pool.shape[0])
+    ranked = np.argsort(-totals, kind="stable")[:ngram3_cap]
+    df3 = np.bincount(slot, minlength=pool.shape[0])[ranked]
     d_total = len(train)
 
     def idf(df: np.ndarray) -> np.ndarray:
@@ -216,42 +248,62 @@ def fit_tfidf(
     vocab = GramVocabulary(
         base=base,
         alphabet="".join(sorted(encoding.alphabet)) if is_char else None,
-        codes3=codes3,
-        idf1=idf(stats[0][1]),
-        idf2=idf(stats[1][1]),
-        idf3=idf(stats[2][1][codes3]),
+        codes3=pool[ranked].astype(np.int64),
+        idf1=idf(df1),
+        idf2=idf(df2),
+        idf3=idf(df3),
         fit_corpus_size=d_total,
     )
     method = "tfidf_char" if is_char else "tfidf_byte"
     return FeatureSchema(method=method, encoding=encoding, vocab=vocab, normalize=normalize)
 
 
-def transform_matrix(schema: FeatureSchema, docs: Sequence[Document]) -> np.ndarray:
-    """Feature rows for a batch of documents, shape (len(docs), dimension)."""
-    docs = list(docs)
-    out = np.zeros((len(docs), schema.dimension), dtype=np.float64)
-    if not docs:
-        return out
-    seqs = [_payload_codes(d.payload, schema.is_char, schema.encoding) for d in docs]
-    flat, offsets = _flatten(seqs)
+def _tfidf_triples(v: GramVocabulary, flat, offsets):
+    """(row, col, value) of the unnormalized TF x IDF entries of a batch."""
+    lengths = np.diff(offsets)
+    blocks = ((1, 0, v.idf1), (2, v.base, v.idf2), (3, v.base + v.base * v.base, v.idf3))
+    parts = []
+    for n, first_col, idf in blocks:
+        doc, code, count = gram_table(flat, offsets, n, v.base)
+        if n == 3:  # vocabulary grams only; a gram's slot is its rank position
+            j = _find(v.sorted3, code)
+            doc, count, code = doc[j >= 0], count[j >= 0], v.pos3[j[j >= 0]]
+        tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
+        parts.append((doc, first_col + code, count * (idf[code] * tf_scale)))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _hist_triples(schema: FeatureSchema, payloads, flat, offsets):
+    """(row, col, value) of symbol frequencies and endianness probe rates."""
+    doc, code, count = gram_table(flat, offsets, 1, schema.base)
+    hist = (doc, code, count / np.diff(offsets)[doc])
+    if schema.is_char:  # the probes always read raw bytes
+        flat, offsets = _flat_codes(payloads, False, None)
+    doc, code, count = gram_table(flat, offsets, 2, 256)
+    j = _find(_PROBE_CODES, code)
+    doc, count = doc[j >= 0], count[j >= 0]
+    rate = count * (1.0 / np.diff(offsets)[doc])
+    probes = (doc, schema.base + _PROBE_COLS[j[j >= 0]], rate)
+    return tuple(np.concatenate(x) for x in zip(hist, probes))
+
+
+def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
+    """Feature rows for a batch of documents, as CSR rows (len(docs), dimension)."""
+    payloads = [d.payload for d in docs]
+    flat, offsets = _flat_codes(payloads, schema.is_char, schema.encoding)
     if schema.is_tfidf:
-        v = schema.vocab
-        kernels.tfidf_fill(
-            flat, offsets, v.base, v.sorted3, v.pos3, v.idf1, v.idf2, v.idf3, out
-        )
+        rows, cols, values = _tfidf_triples(schema.vocab, flat, offsets)
         if schema.normalize:
-            norms = np.sqrt(np.einsum("ij,ij->i", out, out))
-            # all-zero rows stay zero: dividing them by 1 avoids a fancy-index copy
-            out /= np.where(norms > 0.0, norms, 1.0)[:, None]
-        return out
-    base = schema.base
-    kernels.hist_fill(flat, offsets, out[:, :base])
-    for i, d in enumerate(docs):
-        data = np.frombuffer(d.payload, dtype=np.uint8)
-        scale = 1.0 / len(d.payload)
-        for j, pat in enumerate(_ENDIAN_ARRAYS):
-            out[i, base + j] = kernels.count_pattern(data, pat) * scale
-    return out
+            norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(payloads)))
+            values = values / norms[rows]  # only rows that hold an entry
+    else:
+        rows, cols, values = _hist_triples(schema, payloads, flat, offsets)
+    return CsrRows.from_triples(rows, cols, values, (len(payloads), schema.dimension))
+
+
+def transform_matrix(schema: FeatureSchema, docs: Sequence[Document]) -> np.ndarray:
+    """Dense feature rows for a batch of documents, shape (len(docs), dimension)."""
+    return transform_rows(schema, docs).toarray()
 
 
 def transform_tfidf(schema: FeatureSchema, doc: Document) -> FeatureVector:
@@ -272,9 +324,8 @@ def transform_hist_endian(
 def simplified_endianness(doc: Document | bytes) -> tuple[int, int]:
     """(big, little) indicator: which of 0x0001 / 0x0100 occurs more; tie -> (0, 0)."""
     payload = doc.payload if isinstance(doc, Document) else doc
-    data = np.frombuffer(payload, dtype=np.uint8)
-    big = kernels.count_pattern(data, _ENDIAN_ARRAYS[0])
-    little = kernels.count_pattern(data, _ENDIAN_ARRAYS[1])
+    big = count_subsequence(payload, ENDIAN_PATTERNS[0])
+    little = count_subsequence(payload, ENDIAN_PATTERNS[1])
     if big > little:
         return (1, 0)
     if little > big:

@@ -277,6 +277,29 @@ def test_save_load_roundtrip_every_kind(tmp_path, kind):
     assert np.array_equal(got_scores, want_scores)
 
 
+@pytest.mark.parametrize("kind", classify.KINDS)
+def test_corpus_and_dense_matrix_paths_bit_identical(kind):
+    # fit/predict_corpus take CSR rows, fit_vectors/predict_matrix a dense
+    # transform_matrix; both must give the very same parameters and scores
+    train, held = synth_corpora()
+    schema = vectorize.fit_tfidf(train, "byte", ngram3_cap=200)
+    hp = {"epochs": 3} if "epochs" in classify.DEFAULT_HYPERPARAMETERS[kind] else {}
+    spec = ClassifierSpec(kind, hp, seed=4)
+    via_corpus = fit(spec, schema, train)
+    dense = vectorize.transform_matrix(schema, train.documents)
+    via_matrix = fit_vectors(spec, dense, [d.label for d in train], schema=schema)
+    assert via_corpus.labels == via_matrix.labels
+    assert sorted(via_corpus.parameters) == sorted(via_matrix.parameters)
+    for name, value in via_corpus.parameters.items():
+        assert np.array_equal(value, via_matrix.parameters[name]), name
+    corpus_labels, corpus_scores = predict_corpus(via_corpus, held)
+    matrix_labels, matrix_scores = predict_matrix(
+        via_corpus, vectorize.transform_matrix(schema, held.documents)
+    )
+    assert corpus_labels == matrix_labels
+    assert np.array_equal(corpus_scores, matrix_scores)
+
+
 def test_save_load_preserves_tfidf_vocabulary(tmp_path):
     train, held = synth_corpora()
     schema = vectorize.fit_tfidf(train, "byte", ngram3_cap=50)

@@ -261,6 +261,30 @@ def test_evaluate_unknown_model_is_usage_error(capsys, tmp_path):
     assert "xgboost" in err
 
 
+def test_evaluate_flag_goes_only_to_kinds_that_take_it(capsys, tmp_path):
+    corpus_path, _ = make_corpus_file(tmp_path)
+    out_dir = tmp_path / "r"
+    rc, out, err = run(
+        capsys, "evaluate", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--models", "mnb,cnb,gnb,knn,ptn,lr,svm", "--epochs", "1", "--repeats", "1",
+        "--train-per-class", "20", "--test-per-class", "9", "--out-dir", str(out_dir),
+    )
+    assert rc == 0, err
+    assert len(out.splitlines()) == 1 + 7
+    assert len(list(out_dir.glob("report_*.csv"))) == 7
+
+
+def test_evaluate_flag_no_listed_kind_takes_is_usage_error(capsys, tmp_path):
+    corpus_path, _ = make_corpus_file(tmp_path)
+    rc, out, err = run(
+        capsys, "evaluate", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--models", "mnb,cnb", "--epochs", "1", "--out-dir", str(tmp_path / "r"),
+    )
+    assert rc == 1
+    assert out == ""
+    assert "epochs" in err
+
+
 def test_evaluate_infeasible_split_is_data_error(capsys, tmp_path):
     corpus_path, _ = make_corpus_file(tmp_path)
     rc, _, err = run(

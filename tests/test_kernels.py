@@ -1,107 +1,39 @@
+"""The n-gram count table, the one counting kernel under every feature."""
+
 import numpy as np
-import pytest
 
-from isagram import kernels
-from isagram.rng import SplitMix64
+from isagram.vectorize import gram_table
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.ACTIVE_BACKEND
-    yield
-    kernels.use_backend(previous)
+def test_window_codes_edges():
+    one = np.array([0, 1], dtype=np.int64)
+    doc, code, count = gram_table(np.array([3], dtype=np.int64), one, 2, 16)
+    assert doc.shape == code.shape == count.shape == (0,)
+    three = np.array([0, 3], dtype=np.int64)
+    _, code, count = gram_table(np.array([1, 2, 3], dtype=np.int64), three, 2, 16)
+    assert code.tolist() == [1 * 16 + 2, 2 * 16 + 3]
+    assert count.tolist() == [1, 1]
 
 
-def _random_corpus(rng, n_docs=20, max_len=40, base=16):
-    seqs = [
-        np.array([rng.randbelow(base) for _ in range(rng.randbelow(max_len))], dtype=np.int64)
-        for _ in range(n_docs)
-    ]
-    offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in seqs], out=offsets[1:])
-    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int64)
-    return flat, offsets
-
-
-def test_both_backends_registered():
-    pytest.importorskip("numba")
-    assert "numpy" in kernels.BACKENDS
-    assert "numba" in kernels.BACKENDS, "numba backend missing; install numba"
-
-
-def test_use_backend_unknown():
-    with pytest.raises(KeyError):
-        kernels.use_backend("fortran")
-
-
-def test_default_backend_env_flag(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_FLAG, raising=False)
-    assert kernels.default_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-    # default_backend() reads only the registry key and the flag, so a stand-in
-    # "numba" entry checks the flag's precedence where numba is not installed
-    stand_in = kernels.BACKENDS.get("numba", kernels.BACKENDS["numpy"])
-    monkeypatch.setitem(kernels.BACKENDS, "numba", stand_in)
-    assert kernels.default_backend() == "numba"
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
-    assert kernels.default_backend() == "numpy"
-
-
-def test_window_codes_edges(restore_backend):
-    for name in sorted(kernels.BACKENDS):
-        kernels.use_backend(name)
-        assert kernels.window_codes(np.array([3], dtype=np.int64), 2, 16).shape == (0,)
-        got = kernels.window_codes(np.array([1, 2, 3], dtype=np.int64), 2, 16)
-        assert got.tolist() == [1 * 16 + 2, 2 * 16 + 3]
-
-
-def test_backends_bit_identical(restore_backend):
-    pytest.importorskip("numba")
-    rng = SplitMix64(99)
-    base = 16
-    flat, offsets = _random_corpus(rng, base=base)
-    results = {}
-    for name in sorted(kernels.BACKENDS):
-        kernels.use_backend(name)
-        counts = {n: np.zeros(base ** n, dtype=np.int64) for n in (1, 2, 3)}
-        dfs = {n: np.zeros(base ** n, dtype=np.int64) for n in (1, 2, 3)}
-        for n in (1, 2, 3):
-            kernels.gram_stats(flat, offsets, n, base, counts[n], dfs[n])
-        codes3 = np.nonzero(counts[3])[0][:50].astype(np.int64)
-        order = np.argsort(codes3)
-        idf1 = np.log(np.arange(base) + 2.0)
-        idf2 = np.log(np.arange(base ** 2) + 2.0)
-        idf3 = np.log(np.arange(codes3.shape[0]) + 2.0)
-        out = np.zeros((offsets.shape[0] - 1, base + base ** 2 + codes3.shape[0]))
-        kernels.tfidf_fill(
-            flat, offsets, base, codes3[order], order.astype(np.int64),
-            idf1, idf2, idf3, out,
-        )
-        hist = np.zeros((offsets.shape[0] - 1, base))
-        kernels.hist_fill(flat, offsets, hist)
-        pat = np.array([3, 1], dtype=np.int64)
-        hits = kernels.count_pattern(flat, pat)
-        results[name] = (counts, dfs, out, hist, hits)
-    a, b = results["numba"], results["numpy"]
-    for n in (1, 2, 3):
-        assert np.array_equal(a[0][n], b[0][n])
-        assert np.array_equal(a[1][n], b[1][n])
-    assert np.array_equal(a[2], b[2]), "tfidf rows differ between backends"
-    assert np.array_equal(a[3], b[3])
-    assert a[4] == b[4]
-
-
-def test_gram_stats_small_example(restore_backend):
+def test_gram_stats_small_example():
     # doc [1, 1, 2]: 1-gram counts 1->2 2->1, df all 1; 2-grams (1,1) and (1,2)
     flat = np.array([1, 1, 2], dtype=np.int64)
     offsets = np.array([0, 3], dtype=np.int64)
-    for name in sorted(kernels.BACKENDS):
-        kernels.use_backend(name)
-        counts = np.zeros(16, dtype=np.int64)
-        df = np.zeros(16, dtype=np.int64)
-        kernels.gram_stats(flat, offsets, 1, 4, counts, df)
-        assert counts[1] == 2 and counts[2] == 1
-        assert df[1] == 1 and df[2] == 1
-        counts2 = np.zeros(16, dtype=np.int64)
-        df2 = np.zeros(16, dtype=np.int64)
-        kernels.gram_stats(flat, offsets, 2, 4, counts2, df2)
-        assert counts2[1 * 4 + 1] == 1 and counts2[1 * 4 + 2] == 1
+    doc, code, count = gram_table(flat, offsets, 1, 4)
+    counts = np.bincount(code, weights=count, minlength=16)
+    df = np.bincount(code, minlength=16)
+    assert counts[1] == 2 and counts[2] == 1
+    assert df[1] == 1 and df[2] == 1
+    _, code2, count2 = gram_table(flat, offsets, 2, 4)
+    counts2 = np.bincount(code2, weights=count2, minlength=16)
+    assert counts2[1 * 4 + 1] == 1 and counts2[1 * 4 + 2] == 1
+
+
+def test_windows_never_cross_documents():
+    # docs [1, 2] and [3]: the window (2, 3) spans the boundary and is not counted
+    flat = np.array([1, 2, 3], dtype=np.int64)
+    offsets = np.array([0, 2, 3], dtype=np.int64)
+    doc, code, count = gram_table(flat, offsets, 2, 4)
+    assert list(zip(doc.tolist(), code.tolist(), count.tolist())) == [(0, 1 * 4 + 2, 1)]
+    doc, code, count = gram_table(flat, offsets, 1, 4)
+    assert list(zip(doc.tolist(), code.tolist())) == [(0, 1), (0, 2), (1, 3)]

@@ -205,6 +205,15 @@ def test_zero_length_payload_leaves_zero_row():
     assert not row.any()
 
 
+@pytest.mark.parametrize("mode, enc", [("byte", None), ("char", codec.BASE32)])
+def test_zero_length_payload_leaves_zero_hist_row(mode, enc):
+    schema = hist_schema(mode, enc)
+    rows = transform_matrix(schema, [Document(b"", None, "q"), Document(b"\x00\x01", None, "r")])
+    assert rows.shape == (2, schema.dimension)
+    assert not rows[0].any()
+    assert rows[1].any()
+
+
 def test_unit_norm_unless_disabled():
     c = rand_corpus(64, 8, 40)
     on = transform_matrix(fit_tfidf(c, "byte"), c.documents)
