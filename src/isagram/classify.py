@@ -93,11 +93,8 @@ class TrainedModel:
 
 def fit(spec: ClassifierSpec, schema: vectorize.FeatureSchema, train: Corpus) -> TrainedModel:
     """Featurize the training corpus under ``schema`` and fit ``spec``."""
-    labels = [d.label for d in train]
-    if any(label is None for label in labels):
-        raise ValueError("training corpus contains unlabeled documents")
     X = vectorize.transform_rows(schema, train.documents)
-    return fit_vectors(spec, X, labels, schema=schema)
+    return fit_vectors(spec, X, [d.label for d in train], schema=schema)
 
 
 def fit_vectors(
@@ -107,6 +104,8 @@ def fit_vectors(
     schema: Optional[vectorize.FeatureSchema] = None,
 ) -> TrainedModel:
     """Fit on precomputed feature rows, dense or CSR (rows align with ``labels``)."""
+    if any(label is None for label in labels):
+        raise ValueError("training corpus contains unlabeled documents")
     X = as_rows(X)
     if X.shape[0] != len(labels):
         raise ValueError("X must be 2-D with one row per label")

@@ -135,10 +135,9 @@ def cmd_train(args) -> int:
     )
     spec = _classifier_spec(args, args.model, _flag_hyperparameters(args))
     corp = _ingest(args)
-    schema = config.fit_schema(corp)
-    model = classify.fit(spec, schema, corp)
+    model = evaluate.fit_model(config, spec, corp)
     classify.save_model(model, args.out)
-    print(f"dimension {schema.dimension}")
+    print(f"dimension {model.schema.dimension}")
     print(f"documents {len(corp)}")
     by_label = corp.indices_by_label()
     for label in corp.label_set:

@@ -5,14 +5,17 @@ zero-group shortcut and without ``<~ ~>`` framing: every 4-byte group is
 read as a big-endian 32-bit integer and written as five base-85 digits
 (character = digit + 33); a final partial group of n bytes is zero-padded
 and emitted as n+1 characters.  The stdlib ``a85encode`` folds zero groups
-to ``z``, so that variant is implemented by hand.
+to ``z``, so that variant is implemented by hand: ``encode_digits`` encodes
+a whole batch with numpy, and ``encode`` renders its Base85 digits.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 class DecodeError(ValueError):
@@ -51,41 +54,48 @@ def get_encoding(name: str) -> Encoding:
     return ENCODINGS[key]
 
 
-_B85_POW = (85 ** 4, 85 ** 3, 85 ** 2, 85, 1)
-
-
-def _b85_encode(payload: bytes) -> str:
-    out = []
-    for i in range(0, len(payload), 4):
-        group = payload[i : i + 4]
-        n = len(group)
-        value = int.from_bytes(group + b"\x00" * (4 - n), "big")
-        chars = [chr(33 + (value // p) % 85) for p in _B85_POW]
-        out.append("".join(chars[: n + 1]))
-    return "".join(out)
-
-
 def _b85_decode(text: str) -> bytes:
-    out = bytearray()
-    for i in range(0, len(text), 5):
-        group = text[i : i + 5]
-        n = len(group)
-        if n == 1:
-            raise DecodeError("base85: trailing single character has no decoding")
-        digits = []
-        for ch in group:
-            d = ord(ch) - 33
-            if not 0 <= d < 85:
-                raise DecodeError(f"base85: character {ch!r} outside alphabet")
-            digits.append(d)
-        digits += [84] * (5 - n)  # pad partial group with 'u' (max digit)
-        value = 0
-        for d in digits:
-            value = value * 85 + d
-        if value > 0xFFFFFFFF:
-            raise DecodeError("base85: group decodes above 2**32 - 1")
-        out += value.to_bytes(4, "big")[: n - 1] if n < 5 else value.to_bytes(4, "big")
-    return bytes(out)
+    if len(text) % 5 == 1:
+        raise DecodeError("base85: trailing single character has no decoding")
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    digits = codes.astype(np.int64) - 33
+    outside = (digits < 0) | (digits >= 85)
+    if outside.any():
+        raise DecodeError(f"base85: character {text[outside.argmax()]!r} outside alphabet")
+    digits = np.concatenate((digits, np.full(-len(text) % 5, 84)))  # pad with 'u' (max digit)
+    value = digits.reshape(-1, 5) @ 85 ** np.arange(4, -1, -1)
+    if (value > 0xFFFFFFFF).any():
+        raise DecodeError("base85: group decodes above 2**32 - 1")
+    return value.astype(">u4").tobytes()[: len(text) + len(text) // -5]  # n chars -> n - 1 bytes
+
+
+def encode_digits(kind: Encoding, payloads: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Digits (alphabet indices) of every payload's unpadded encoding, and offsets.
+
+    Each payload's last group is zero-padded on its own and keeps its
+    ceil(8L/bits) (RFC 4648) or L + ceil(L/4) (Base85) significant digits, so
+    payload i's digits spell ``strip_padding(kind, encode(kind, p))``.
+    """
+    g, c = kind.group_in_bytes, kind.group_out_chars
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    groups = -(-lengths // g)
+    first = np.cumsum(groups) - groups  # each payload's first group
+    padded = np.zeros((int(groups.sum()), g), dtype=np.int64)
+    padded.reshape(-1)[_runs(lengths, first * g)] = np.frombuffer(b"".join(payloads), np.uint8)
+    value = padded @ 256 ** np.arange(g - 1, -1, -1)  # groups as big-endian integers
+    place = np.arange(c - 1, -1, -1)
+    if kind.name == "base85":
+        digits, kept = value[:, None] // 85 ** place % 85, lengths + groups
+    else:
+        bits = len(kind.alphabet).bit_length() - 1
+        digits, kept = value[:, None] >> bits * place & (2 ** bits - 1), -(-8 * lengths // bits)
+    offsets = np.concatenate(([0], np.cumsum(kept)))
+    return digits.reshape(-1)[_runs(kept, first * c)], offsets
+
+
+def _runs(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """starts[i] + j for every j < counts[i], concatenated over i."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def encode(kind: Encoding, payload: bytes) -> str:
@@ -96,7 +106,8 @@ def encode(kind: Encoding, payload: bytes) -> str:
         return base64.b32encode(payload).decode("ascii")
     if kind.name == "base64":
         return base64.b64encode(payload).decode("ascii")
-    return _b85_encode(payload)
+    digits, _ = encode_digits(kind, [payload])
+    return bytes((digits + 33).tolist()).decode("ascii")
 
 
 def decode(kind: Encoding, text: str) -> bytes:
@@ -115,7 +126,9 @@ def decode(kind: Encoding, text: str) -> bytes:
             _check_padding(kind, text, invalid_tail=(1,))
             return base64.b64decode(text, validate=True)
         return _b85_decode(text)
-    except binascii.Error as exc:
+    except DecodeError:
+        raise
+    except ValueError as exc:  # binascii.Error, or non-ASCII text in the stdlib decoders
         raise DecodeError(f"{kind.name}: {exc}") from exc
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import classify, codec, vectorize
 from .corpus import Corpus, CorpusError, SplitSpec, split
 from .rng import SplitMix64, derive_seed
+from .sparse import CsrRows
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,15 @@ class FeatureConfig:
             )
         return vectorize.hist_schema(self.mode, self.encoding)
 
+    def fit_transform(self, train: Corpus) -> tuple[vectorize.FeatureSchema, CsrRows]:
+        """``fit_schema`` plus the train rows; the batch is encoded and counted once."""
+        if self.method in vectorize.HIST_METHODS:
+            schema = vectorize.hist_schema(self.mode, self.encoding)
+            return schema, vectorize.transform_rows(schema, train.documents)
+        return vectorize.fit_transform(
+            train, self.mode, self.encoding, self.ngram3_cap, self.normalize
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
@@ -77,9 +87,16 @@ def accuracy(predictions: Sequence[tuple[str, str]]) -> float:
     return sum(1 for t, p in predictions if t == p) / len(predictions)
 
 
+def fit_model(
+    config: FeatureConfig, spec: classify.ClassifierSpec, train: Corpus
+) -> classify.TrainedModel:
+    """Fit features and classifier on ``train``; its rows are freed on return."""
+    schema, rows = config.fit_transform(train)
+    return classify.fit_vectors(spec, rows, [d.label for d in train], schema=schema)
+
+
 def _evaluate_one(config, cspec, train, test, labels):
-    schema = config.fit_schema(train)
-    model = classify.fit(cspec, schema, train)
+    model = fit_model(config, cspec, train)
     predicted, _ = classify.predict_corpus(model, test)
     index = {label: i for i, label in enumerate(labels)}
     pairs = [(d.label, p) for d, p in zip(test, predicted)]

@@ -30,11 +30,12 @@ class CsrRows:
     def from_triples(cls, rows, cols, values, shape) -> "CsrRows":
         """Rows from (row, col, value) triples with distinct (row, col) pairs."""
         keep = values != 0
-        rows, cols = rows[keep], cols[keep]
-        order = np.argsort(rows * shape[1] + cols, kind="stable")
+        if not keep.all():  # copy only when there is something to drop
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        data = np.asarray(values[keep], dtype=np.float64)[order]
+        data = np.asarray(values, dtype=np.float64)[order]
         return cls(indptr, cols[order].astype(np.int64), data, tuple(shape))
 
     @classmethod

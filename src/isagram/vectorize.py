@@ -13,15 +13,18 @@ disables it.  1- and 2-gram blocks enumerate the full alphabet; the 3-gram
 block holds the top-ranked grams by training occurrence count (ascending
 code order breaking ties), capped at 5000.
 
-Fitting and transforming both read one ``gram_table`` per batch: the
-distinct (doc, code, count) triples for n = 1, 2, 3.  Transforms emit CSR
-rows (``transform_rows``); ``transform_matrix`` is their dense view.
+Each batch is encoded once (``encode_batch``; in char mode one vectorised
+``codec.encode_digits`` call) and counted once: ``gram_table`` gives the
+distinct (doc, code, count) triples for each n = 1, 2, 3, and one pass over
+n reads each table both to fit and to transform, so ``fit_transform``
+counts a training batch once for both.  Rows leave as CSR
+(``transform_rows``); ``transform_matrix`` is their dense view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -150,35 +153,17 @@ def _check_mode(mode: str, encoding: Optional[codec.Encoding]) -> None:
         raise ValueError("encoding must be supplied iff mode is 'char'")
 
 
-def _char_lut(encoding: codec.Encoding) -> np.ndarray:
-    lut = np.full(128, -1, dtype=np.int64)
-    for i, ch in enumerate(sorted(encoding.alphabet)):
-        lut[ord(ch)] = i
-    return lut
-
-
-_LUT_CACHE: dict[str, np.ndarray] = {}
-
-
-def _flat_codes(
-    payloads: Sequence[bytes], is_char: bool, encoding
-) -> tuple[np.ndarray, np.ndarray]:
-    """Term codes of a batch (byte values or alphabet ranks), concatenated.
+def _flat_codes(payloads: Sequence[bytes], encoding) -> tuple[np.ndarray, np.ndarray]:
+    """Term codes of a batch (byte values or sorted-alphabet ranks), concatenated.
 
     Returns the flat code array and offsets of length len(payloads) + 1.
     """
-    if is_char:
-        texts = [codec.strip_padding(encoding, codec.encode(encoding, p)) for p in payloads]
-        if encoding.name not in _LUT_CACHE:
-            _LUT_CACHE[encoding.name] = _char_lut(encoding)
-        raw = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
-        flat, lengths = _LUT_CACHE[encoding.name][raw], [len(t) for t in texts]
-    else:
-        flat = np.frombuffer(b"".join(payloads), dtype=np.uint8).astype(np.int64)
-        lengths = [len(p) for p in payloads]
-    offsets = np.zeros(len(payloads) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return flat, offsets
+    if encoding is not None:
+        digits, offsets = codec.encode_digits(encoding, payloads)
+        symbols = np.frombuffer(encoding.alphabet.encode("ascii"), dtype=np.uint8)
+        return np.argsort(np.argsort(symbols))[digits], offsets  # digit -> rank
+    flat = np.frombuffer(b"".join(payloads), dtype=np.uint8).astype(np.int64)
+    return flat, np.concatenate(([0], np.cumsum([len(p) for p in payloads], dtype=np.int64)))
 
 
 def gram_table(
@@ -200,7 +185,8 @@ def gram_table(
         code = code * base + flat[starts + j]
     span = base ** n
     keys, count = np.unique(doc * span + code, return_counts=True)
-    return keys // span, keys % span, count
+    # int32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
+    return (keys // span).astype(np.int32), (keys % span).astype(np.int32), count.astype(np.int32)
 
 
 def _find(sorted_keys: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -211,6 +197,115 @@ def _find(sorted_keys: np.ndarray, code: np.ndarray) -> np.ndarray:
     return np.where(found, j, -1)
 
 
+class GramBatch(NamedTuple):
+    """A batch of documents, encoded once: term codes and document offsets.
+
+    ``table(n)`` counts the batch's length-n grams.  A pass that fits and
+    transforms reads each table for both jobs, so it is built once per batch,
+    and only one table is alive at a time.
+    """
+
+    encoding: Optional[codec.Encoding]  # None in byte mode
+    flat: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def base(self) -> int:
+        return 256 if self.encoding is None else len(self.encoding.alphabet)
+
+    @property
+    def size(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def table(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return gram_table(self.flat, self.offsets, n, self.base)
+
+
+def encode_batch(docs: Sequence[Document], encoding=None) -> GramBatch:
+    """The term codes of a batch: raw bytes, or one batch encode in char mode."""
+    return GramBatch(encoding, *_flat_codes([d.payload for d in docs], encoding))
+
+
+def _idf(df: np.ndarray, d_total: int) -> np.ndarray:
+    return np.log((d_total + 1.0) / (df + 1.0)) + 1.0
+
+
+def _select3(code: np.ndarray, count: np.ndarray, base: int, ngram3_cap: int):
+    """The top 3-gram codes of a training table by total count, and their df.
+
+    All base^3 candidates compete when they fit under the cap (fixed block);
+    otherwise only grams observed in training enter the ranking.  Ties keep
+    ascending code order.
+    """
+    if base ** 3 <= ngram3_cap:
+        pool, slot = np.arange(base ** 3), code
+    else:
+        pool, slot = np.unique(code, return_inverse=True)
+    totals = np.bincount(slot, weights=count, minlength=pool.shape[0])
+    ranked = np.argsort(-totals, kind="stable")[:ngram3_cap]
+    return pool[ranked].astype(np.int64), np.bincount(slot, minlength=pool.shape[0])[ranked]
+
+
+def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP, emit: bool = True):
+    """Fit a vocabulary on ``batch`` (when ``vocab`` is None) and, when ``emit``,
+    its unnormalized TF x IDF (row, col, value) triples, in one pass over n."""
+    base, d_total, lengths = batch.base, batch.size, np.diff(batch.offsets)
+    idfs, parts = [], []
+    for n in (1, 2, 3):
+        doc, code, count = batch.table(n)
+        if vocab is not None:
+            idfs.append((vocab.idf1, vocab.idf2, vocab.idf3)[n - 1])
+        elif n < 3:  # a table row per (doc, distinct gram): bincount over codes is df
+            idfs.append(_idf(np.bincount(code, minlength=base ** n), d_total))
+        else:
+            codes3, df3 = _select3(code, count, base, ngram3_cap)
+            idfs.append(_idf(df3, d_total))
+            enc = batch.encoding
+            alphabet = None if enc is None else "".join(sorted(enc.alphabet))
+            vocab = GramVocabulary(base, alphabet, codes3, *idfs, d_total)
+        if not emit:
+            continue
+        if n == 3:  # vocabulary grams only; a gram's slot is its rank position
+            j = _find(vocab.sorted3, code)
+            doc, count, code = doc[j >= 0], count[j >= 0], vocab.pos3[j[j >= 0]]
+        first_col = (0, base, base + base * base)[n - 1]
+        tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
+        parts.append((doc, first_col + code, count * (idfs[-1][code] * tf_scale)))
+    return vocab, tuple(np.concatenate(x) for x in zip(*parts)) if emit else None
+
+
+def _hist_triples(schema: FeatureSchema, batch: GramBatch, docs: Sequence[Document]):
+    """(row, col, value) of symbol frequencies and endianness probe rates."""
+    doc, code, count = batch.table(1)
+    hist = (doc, code, count / np.diff(batch.offsets)[doc])
+    raw = encode_batch(docs) if schema.is_char else batch  # the probes always read raw bytes
+    doc, code, count = raw.table(2)
+    j = _find(_PROBE_CODES, code)
+    doc, count = doc[j >= 0], count[j >= 0]
+    rate = count * (1.0 / np.diff(raw.offsets)[doc])
+    probes = (doc, schema.base + _PROBE_COLS[j[j >= 0]], rate)
+    return tuple(np.concatenate(x) for x in zip(hist, probes))
+
+
+def _csr(schema: FeatureSchema, n_docs: int, triples) -> CsrRows:
+    """CSR rows (n_docs, dimension) from a batch's triples, unit-norm if the schema says."""
+    rows, cols, values = triples
+    if schema.is_tfidf and schema.normalize:
+        norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=n_docs))
+        values = values / norms[rows]  # only rows that hold an entry
+    return CsrRows.from_triples(rows, cols, values, (n_docs, schema.dimension))
+
+
+def _check_tfidf(train: Corpus, mode: str, encoding, ngram3_cap: int) -> str:
+    """Validate TF-IDF fitting arguments; returns the method name."""
+    _check_mode(mode, encoding)
+    if len(train) == 0:
+        raise ValueError("cannot fit TF-IDF features on an empty corpus")
+    if ngram3_cap < 0:
+        raise ValueError("ngram3_cap must be >= 0")
+    return "tfidf_char" if mode == "char" else "tfidf_byte"
+
+
 def fit_tfidf(
     train: Corpus,
     mode: str,
@@ -219,86 +314,39 @@ def fit_tfidf(
     normalize: bool = True,
 ) -> FeatureSchema:
     """Learn the gram vocabulary and IDF weights from a training corpus."""
-    _check_mode(mode, encoding)
-    if len(train) == 0:
-        raise ValueError("cannot fit TF-IDF features on an empty corpus")
-    if ngram3_cap < 0:
-        raise ValueError("ngram3_cap must be >= 0")
-    is_char = mode == "char"
-    base = len(encoding.alphabet) if is_char else 256
-    flat, offsets = _flat_codes([d.payload for d in train], is_char, encoding)
-    # a table row per (doc, distinct gram), so bincount over codes counts documents
-    df1 = np.bincount(gram_table(flat, offsets, 1, base)[1], minlength=base)
-    df2 = np.bincount(gram_table(flat, offsets, 2, base)[1], minlength=base * base)
-    _, code3, count3 = gram_table(flat, offsets, 3, base)
-    # all base^3 candidates compete when they fit under the cap (fixed block);
-    # otherwise only grams observed in training enter the ranking
-    if base ** 3 <= ngram3_cap:
-        pool, slot = np.arange(base ** 3), code3
-    else:
-        pool, slot = np.unique(code3, return_inverse=True)
-    totals = np.bincount(slot, weights=count3, minlength=pool.shape[0])
-    ranked = np.argsort(-totals, kind="stable")[:ngram3_cap]
-    df3 = np.bincount(slot, minlength=pool.shape[0])[ranked]
-    d_total = len(train)
-
-    def idf(df: np.ndarray) -> np.ndarray:
-        return np.log((d_total + 1.0) / (df + 1.0)) + 1.0
-
-    vocab = GramVocabulary(
-        base=base,
-        alphabet="".join(sorted(encoding.alphabet)) if is_char else None,
-        codes3=pool[ranked].astype(np.int64),
-        idf1=idf(df1),
-        idf2=idf(df2),
-        idf3=idf(df3),
-        fit_corpus_size=d_total,
-    )
-    method = "tfidf_char" if is_char else "tfidf_byte"
-    return FeatureSchema(method=method, encoding=encoding, vocab=vocab, normalize=normalize)
+    method = _check_tfidf(train, mode, encoding, ngram3_cap)
+    vocab, _ = _tfidf(encode_batch(train.documents, encoding), None, ngram3_cap, emit=False)
+    return FeatureSchema(method, encoding, vocab, normalize)
 
 
-def _tfidf_triples(v: GramVocabulary, flat, offsets):
-    """(row, col, value) of the unnormalized TF x IDF entries of a batch."""
-    lengths = np.diff(offsets)
-    blocks = ((1, 0, v.idf1), (2, v.base, v.idf2), (3, v.base + v.base * v.base, v.idf3))
-    parts = []
-    for n, first_col, idf in blocks:
-        doc, code, count = gram_table(flat, offsets, n, v.base)
-        if n == 3:  # vocabulary grams only; a gram's slot is its rank position
-            j = _find(v.sorted3, code)
-            doc, count, code = doc[j >= 0], count[j >= 0], v.pos3[j[j >= 0]]
-        tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
-        parts.append((doc, first_col + code, count * (idf[code] * tf_scale)))
-    return tuple(np.concatenate(x) for x in zip(*parts))
-
-
-def _hist_triples(schema: FeatureSchema, payloads, flat, offsets):
-    """(row, col, value) of symbol frequencies and endianness probe rates."""
-    doc, code, count = gram_table(flat, offsets, 1, schema.base)
-    hist = (doc, code, count / np.diff(offsets)[doc])
-    if schema.is_char:  # the probes always read raw bytes
-        flat, offsets = _flat_codes(payloads, False, None)
-    doc, code, count = gram_table(flat, offsets, 2, 256)
-    j = _find(_PROBE_CODES, code)
-    doc, count = doc[j >= 0], count[j >= 0]
-    rate = count * (1.0 / np.diff(offsets)[doc])
-    probes = (doc, schema.base + _PROBE_COLS[j[j >= 0]], rate)
-    return tuple(np.concatenate(x) for x in zip(hist, probes))
+def fit_transform(
+    train: Corpus,
+    mode: str,
+    encoding: Optional[codec.Encoding] = None,
+    ngram3_cap: int = NGRAM3_CAP,
+    normalize: bool = True,
+) -> tuple[FeatureSchema, CsrRows]:
+    """``fit_tfidf`` and the training rows, from one encode and count of the batch."""
+    method = _check_tfidf(train, mode, encoding, ngram3_cap)
+    batch = encode_batch(train.documents, encoding)
+    vocab, triples = _tfidf(batch, None, ngram3_cap)
+    rows = _csr(FeatureSchema(method, encoding, vocab, normalize), batch.size, triples)
+    # The vocabulary outlives the pass but was allocated among its count tables;
+    # fresh copies, made once those are freed, do not keep the freed heap from
+    # shrinking (without them peak RSS on protocol-byte was ~8 % higher).
+    arrays = (np.copy(a) for a in (vocab.codes3, vocab.idf1, vocab.idf2, vocab.idf3))
+    vocab = GramVocabulary(vocab.base, vocab.alphabet, *arrays, vocab.fit_corpus_size)
+    return FeatureSchema(method, encoding, vocab, normalize), rows
 
 
 def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
     """Feature rows for a batch of documents, as CSR rows (len(docs), dimension)."""
-    payloads = [d.payload for d in docs]
-    flat, offsets = _flat_codes(payloads, schema.is_char, schema.encoding)
+    batch = encode_batch(docs, schema.encoding)
     if schema.is_tfidf:
-        rows, cols, values = _tfidf_triples(schema.vocab, flat, offsets)
-        if schema.normalize:
-            norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(payloads)))
-            values = values / norms[rows]  # only rows that hold an entry
+        triples = _tfidf(batch, schema.vocab)[1]
     else:
-        rows, cols, values = _hist_triples(schema, payloads, flat, offsets)
-    return CsrRows.from_triples(rows, cols, values, (len(payloads), schema.dimension))
+        triples = _hist_triples(schema, batch, docs)
+    return _csr(schema, batch.size, triples)
 
 
 def transform_matrix(schema: FeatureSchema, docs: Sequence[Document]) -> np.ndarray:

@@ -1,8 +1,11 @@
 import base64
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isagram import codec
+from isagram import codec, vectorize
 from isagram.rng import SplitMix64
 
 PAYLOAD = bytes.fromhex("d743d444d644d845")
@@ -120,3 +123,42 @@ def test_strip_padding():
     text = codec.encode(codec.BASE85, b"\x00\x00\x00\x1c")
     assert text == "!!!!="
     assert codec.strip_padding(codec.BASE85, text) == "!!!!="
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+encodings = st.sampled_from(sorted(codec.ENCODINGS)).map(codec.get_encoding)
+# 0..70 bytes covers the empty payload and every partial-group length of all four
+payload_lists = st.lists(st.binary(max_size=70), max_size=6)
+
+
+@settings(deadline=None)
+@given(encodings, payload_lists)
+def test_batch_digits_spell_the_unpadded_text(enc, payloads):
+    digits, offsets = codec.encode_digits(enc, payloads)
+    texts = [codec.strip_padding(enc, codec.encode(enc, p)) for p in payloads]
+    assert offsets.tolist() == np.cumsum([0] + [len(t) for t in texts]).tolist()
+    assert "".join(enc.alphabet[d] for d in digits.tolist()) == "".join(texts)
+    # the feature codes are the characters' ranks in the sorted alphabet
+    ranks, rank_offsets = vectorize._flat_codes(payloads, enc)
+    ordered = sorted(enc.alphabet)
+    assert ranks.tolist() == [ordered.index(ch) for ch in "".join(texts)]
+    assert np.array_equal(rank_offsets, offsets)
+
+
+@settings(deadline=None)
+@given(encodings, st.binary(max_size=70))
+def test_decode_inverts_encode(enc, payload):
+    assert codec.decode(enc, codec.encode(enc, payload)) == payload
+
+
+@settings(deadline=None)
+@given(encodings, st.text(max_size=24))
+def test_decode_of_any_text_returns_bytes_or_raises_decode_error(enc, text):
+    try:
+        payload = codec.decode(enc, text)
+    except codec.DecodeError:
+        return
+    assert codec.decode(enc, codec.encode(enc, payload)) == payload

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isagram import classify, codec, corpus, evaluate
+from isagram import classify, codec, corpus, evaluate, vectorize
 from isagram.classify import ClassifierSpec
 from isagram.corpus import Corpus, CorpusError, Document, SplitSpec
 from isagram.evaluate import (
@@ -97,6 +97,29 @@ def test_repeats_match_manual_reruns():
         train, test = corpus.split(c, split_spec, repeat)
         acc, _ = evaluate._evaluate_one(config, cspec, train, test, c.label_set)
         assert report.per_repeat_accuracy[repeat] == acc
+
+
+def test_each_batch_is_encoded_and_counted_once(monkeypatch):
+    c = corpus.generate_synthetic(corpus.default_isa_specs(3), 12, 40, seed=3)
+    train, test = corpus.split(c, SplitSpec(8, 4, seed=2, repeats=1), 0)
+    calls = {"gram_table": 0, "encode": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def shim(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, shim)
+
+    counting(vectorize, "gram_table")
+    counting(codec, "encode")
+    config = FeatureConfig("tfidf_char", codec.BASE85)
+    evaluate._evaluate_one(config, ClassifierSpec("cnb"), train, test, c.label_set)
+    # n = 1, 2, 3 tables for the train batch and for the test batch, and
+    # every payload reaches the codec through one batch call per batch
+    assert calls == {"gram_table": 6, "encode": 0}
 
 
 def test_run_comparison_is_deterministic():

@@ -8,14 +8,18 @@ import pytest
 import oracle_tfidf as oracle
 from isagram import codec, vectorize
 from isagram.corpus import Corpus, Document
+from isagram.evaluate import FeatureConfig
+from isagram.sparse import CsrRows
 from isagram.vectorize import (
     FeatureSchema,
     fit_tfidf,
+    gram_table,
     hist_schema,
     simplified_endianness,
     terms3_to_codes,
     transform_hist_endian,
     transform_matrix,
+    transform_rows,
     transform_tfidf,
 )
 
@@ -35,6 +39,75 @@ def oracle_codes3(vocab, base, alphabet):
         return [(g[0] * base + g[1]) * base + g[2] for g in grams3]
     rank = {ch: i for i, ch in enumerate(alphabet)}
     return [(rank[g[0]] * base + rank[g[1]]) * base + rank[g[2]] for g in grams3]
+
+
+# ---------------------------------------------------------------------------
+# the n-gram count table, the one counting kernel under every feature
+# ---------------------------------------------------------------------------
+
+def test_window_codes_edges():
+    one = np.array([0, 1], dtype=np.int64)
+    doc, code, count = gram_table(np.array([3], dtype=np.int64), one, 2, 16)
+    assert doc.shape == code.shape == count.shape == (0,)
+    three = np.array([0, 3], dtype=np.int64)
+    _, code, count = gram_table(np.array([1, 2, 3], dtype=np.int64), three, 2, 16)
+    assert code.tolist() == [1 * 16 + 2, 2 * 16 + 3]
+    assert count.tolist() == [1, 1]
+
+
+def test_gram_stats_small_example():
+    # doc [1, 1, 2]: 1-gram counts 1->2 2->1, df all 1; 2-grams (1,1) and (1,2)
+    flat = np.array([1, 1, 2], dtype=np.int64)
+    offsets = np.array([0, 3], dtype=np.int64)
+    doc, code, count = gram_table(flat, offsets, 1, 4)
+    counts = np.bincount(code, weights=count, minlength=16)
+    df = np.bincount(code, minlength=16)
+    assert counts[1] == 2 and counts[2] == 1
+    assert df[1] == 1 and df[2] == 1
+    _, code2, count2 = gram_table(flat, offsets, 2, 4)
+    counts2 = np.bincount(code2, weights=count2, minlength=16)
+    assert counts2[1 * 4 + 1] == 1 and counts2[1 * 4 + 2] == 1
+
+
+def test_windows_never_cross_documents():
+    # docs [1, 2] and [3]: the window (2, 3) spans the boundary and is not counted
+    flat = np.array([1, 2, 3], dtype=np.int64)
+    offsets = np.array([0, 2, 3], dtype=np.int64)
+    doc, code, count = gram_table(flat, offsets, 2, 4)
+    assert list(zip(doc.tolist(), code.tolist(), count.tolist())) == [(0, 1 * 4 + 2, 1)]
+    doc, code, count = gram_table(flat, offsets, 1, 4)
+    assert list(zip(doc.tolist(), code.tolist())) == [(0, 1), (0, 2), (1, 3)]
+
+
+def test_csr_rows_from_int32_table_rows_past_int32_keys():
+    # table doc ids are int32; row * width + col must not wrap before sorting
+    rows = np.array([40000, 30000], dtype=np.int32)
+    X = CsrRows.from_triples(rows, np.array([5, 70000]), np.array([1.0, 2.0]), (40001, 70792))
+    assert X.indices.tolist() == [70000, 5]
+    assert X.data.tolist() == [2.0, 1.0]
+    assert X.indptr[30000:30002].tolist() == [0, 1]
+
+
+ONE_COUNT_CONFIGS = [FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byte")] + [
+    FeatureConfig(method, enc)
+    for method in ("tfidf_char", "hist_endian_char")
+    for enc in codec.ENCODINGS.values()
+]
+
+
+@pytest.mark.parametrize("config", ONE_COUNT_CONFIGS, ids=FeatureConfig.describe)
+def test_fit_transform_matches_fit_then_transform(config):
+    train = rand_corpus(5, 9, 70)
+    schema, rows = config.fit_transform(train)
+    want_schema = config.fit_schema(train)
+    want = transform_rows(want_schema, train.documents)
+    assert schema.method == want_schema.method and schema.dimension == want_schema.dimension
+    if schema.is_tfidf:
+        for name in ("codes3", "idf1", "idf2", "idf3"):
+            assert np.array_equal(getattr(schema.vocab, name), getattr(want_schema.vocab, name))
+    assert rows.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(rows, name), getattr(want, name))
 
 
 # ---------------------------------------------------------------------------
