@@ -18,19 +18,10 @@ from .corpus import (
     split,
     write_jsonl,
 )
-from .classify import ClassifierSpec, TrainedModel, fit, load_model, predict, save_model
-from .evaluate import FeatureConfig, accuracy, learning_curve, run_comparison
-from .ngram import extract_grams, count_subsequence
-from .vectorize import (
-    FeatureSchema,
-    FeatureVector,
-    fit_tfidf,
-    hist_schema,
-    simplified_endianness,
-    transform_hist_endian,
-    transform_matrix,
-    transform_tfidf,
-)
+from .classify import ClassifierSpec, TrainedModel, load_model, predict, save_model
+from .evaluate import FeatureConfig, accuracy, fit_model, learning_curve, run_comparison
+from .ngram import count_subsequence
+from .vectorize import FeatureSchema, simplified_endianness, transform_rows
 
 __version__ = "1.0.0"
 
@@ -42,7 +33,6 @@ __all__ = [
     "Document",
     "FeatureConfig",
     "FeatureSchema",
-    "FeatureVector",
     "SplitSpec",
     "SyntheticIsaSpec",
     "TrainedModel",
@@ -51,12 +41,9 @@ __all__ = [
     "decode",
     "default_isa_specs",
     "encode",
-    "extract_grams",
-    "fit",
-    "fit_tfidf",
+    "fit_model",
     "generate_synthetic",
     "get_encoding",
-    "hist_schema",
     "ingest",
     "learning_curve",
     "load_model",
@@ -65,8 +52,6 @@ __all__ = [
     "save_model",
     "simplified_endianness",
     "split",
-    "transform_hist_endian",
-    "transform_matrix",
-    "transform_tfidf",
+    "transform_rows",
     "write_jsonl",
 ]

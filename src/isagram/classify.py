@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import codec, vectorize
-from .corpus import Corpus, Document
+from .corpus import Corpus, CorpusError, Document
 from .rng import SplitMix64, derive_seed
 from .sparse import CsrRows, as_rows
 
@@ -91,12 +91,6 @@ class TrainedModel:
 # fitting
 # ---------------------------------------------------------------------------
 
-def fit(spec: ClassifierSpec, schema: vectorize.FeatureSchema, train: Corpus) -> TrainedModel:
-    """Featurize the training corpus under ``schema`` and fit ``spec``."""
-    X = vectorize.transform_rows(schema, train.documents)
-    return fit_vectors(spec, X, [d.label for d in train], schema=schema)
-
-
 def fit_vectors(
     spec: ClassifierSpec,
     X: np.ndarray | CsrRows,
@@ -105,7 +99,7 @@ def fit_vectors(
 ) -> TrainedModel:
     """Fit on precomputed feature rows, dense or CSR (rows align with ``labels``)."""
     if any(label is None for label in labels):
-        raise ValueError("training corpus contains unlabeled documents")
+        raise CorpusError("training corpus contains unlabeled documents")
     X = as_rows(X)
     if X.shape[0] != len(labels):
         raise ValueError("X must be 2-D with one row per label")
@@ -113,7 +107,7 @@ def fit_vectors(
         raise ValueError("feature matrix contains NaN or inf")
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
-        raise ValueError("training data must contain at least 2 labels")
+        raise CorpusError("training data must contain at least 2 labels")
     index = {label: i for i, label in enumerate(classes)}
     y = np.asarray([index[label] for label in labels], dtype=np.int64)
     if spec.kind not in _SPARSE_KINDS:

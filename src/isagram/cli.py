@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import classify, codec, evaluate, vectorize
@@ -67,7 +66,10 @@ def _parse_feature(token: str, default_encoding, ngram3_cap, normalize):
             raise UsageError(str(exc)) from exc
     elif inline_enc:
         raise UsageError(f"feature {name!r} does not take an encoding")
-    return evaluate.FeatureConfig(method, encoding, ngram3_cap, normalize)
+    try:
+        return evaluate.FeatureConfig(method, encoding, ngram3_cap, normalize)
+    except ValueError as exc:  # --ngram3-cap out of range
+        raise UsageError(str(exc)) from exc
 
 
 def _flag_hyperparameters(args) -> dict:
@@ -155,13 +157,7 @@ def _read_input_docs(args) -> list[Document]:
             raise CorpusError("raw input is empty")
         return [Document(data, None, doc_id)]
     if args.input == "-":
-        with tempfile.NamedTemporaryFile("w", suffix=".jsonl", delete=False) as fh:
-            fh.write(sys.stdin.read())
-            path = fh.name
-        try:
-            return list(corpus_mod.ingest(path, "jsonl").documents)
-        finally:
-            Path(path).unlink(missing_ok=True)
+        return list(corpus_mod.ingest_lines(sys.stdin, "<stdin>").documents)
     return list(corpus_mod.ingest(args.input, "jsonl").documents)
 
 
@@ -197,13 +193,16 @@ def cmd_evaluate(args) -> int:
         _classifier_spec(args, name, {k: v for k, v in hp.items() if k in takes[name]})
         for name in model_names
     ]
+    try:
+        split_spec = corpus_mod.SplitSpec(
+            train_per_class=args.train_per_class,
+            test_per_class=args.test_per_class,
+            seed=args.seed,
+            repeats=args.repeats,
+        )
+    except CorpusError as exc:  # --repeats or a per-class count below 1
+        raise UsageError(str(exc)) from exc
     corp = _ingest(args)
-    split_spec = corpus_mod.SplitSpec(
-        train_per_class=args.train_per_class,
-        test_per_class=args.test_per_class,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
     reports = evaluate.run_comparison(corp, methods, specs, split_spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,11 +236,10 @@ def cmd_featurize(args) -> int:
     )
     corp = _ingest(args, allow_empty=True)
     try:
-        schema = config.fit_schema(corp)
+        _, rows = config.fit_transform(corp)
     except ValueError as exc:  # TF-IDF cannot be fitted on an empty corpus
         raise CorpusError(str(exc)) from exc
-    rows = vectorize.export_features(schema, corp, args.out)
-    print(f"wrote {rows} rows")
+    print(f"wrote {vectorize.export_features(rows, corp, args.out)} rows")
     return EXIT_OK
 
 

@@ -4,7 +4,7 @@ Base85 here is the btoa/Ascii85 offset-33 scheme without the ``z``
 zero-group shortcut and without ``<~ ~>`` framing: every 4-byte group is
 read as a big-endian 32-bit integer and written as five base-85 digits
 (character = digit + 33); a final partial group of n bytes is zero-padded
-and emitted as n+1 characters.  The stdlib ``a85encode`` folds zero groups
+and written as n+1 characters.  The stdlib ``a85encode`` folds zero groups
 to ``z``, so that variant is implemented by hand: ``encode_digits`` encodes
 a whole batch with numpy, and ``encode`` renders its Base85 digits.
 """
@@ -111,25 +111,31 @@ def encode(kind: Encoding, payload: bytes) -> str:
 
 
 def decode(kind: Encoding, text: str) -> bytes:
-    """Inverse of encode.  Base16 accepts either letter case.
+    """Inverse of encode: accepts only text that ``encode`` could have
+    written.  Base16 accepts either letter case.
 
     Raises DecodeError for characters outside the alphabet, malformed
-    padding, or base85 groups above 2**32 - 1.
+    padding, base85 groups above 2**32 - 1, or non-canonical text (nonzero
+    unused trailing bits, e.g. base64 ``QR==`` for ``QQ==``).
     """
     try:
         if kind.name == "base16":
-            return base64.b16decode(text, casefold=True)
-        if kind.name == "base32":
+            data = base64.b16decode(text, casefold=True)
+        elif kind.name == "base32":
             _check_padding(kind, text, invalid_tail=(1, 3, 6))
-            return base64.b32decode(text)
-        if kind.name == "base64":
+            data = base64.b32decode(text)
+        elif kind.name == "base64":
             _check_padding(kind, text, invalid_tail=(1,))
-            return base64.b64decode(text, validate=True)
-        return _b85_decode(text)
+            data = base64.b64decode(text, validate=True)
+        else:
+            data = _b85_decode(text)
     except DecodeError:
         raise
     except ValueError as exc:  # binascii.Error, or non-ASCII text in the stdlib decoders
         raise DecodeError(f"{kind.name}: {exc}") from exc
+    if encode(kind, data) != (text.upper() if kind.name == "base16" else text):
+        raise DecodeError(f"{kind.name}: not the canonical encoding of the bytes it decodes to")
+    return data
 
 
 def _check_padding(kind: Encoding, text: str, invalid_tail: tuple[int, ...]) -> None:

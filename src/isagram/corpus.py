@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import codec
 from .rng import SplitMix64, derive_seed
@@ -138,37 +138,50 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
     if fmt == "jsonl":
-        docs, skipped = _ingest_jsonl(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            docs, skipped = _ingest_jsonl(fh)
     elif fmt == "directory":
         docs, skipped = _ingest_directory(path)
     else:
         raise CorpusError(f"unknown corpus format {fmt!r}")
+    return _corpus(docs, skipped, str(path), allow_empty)
+
+
+def ingest_lines(lines: Iterable[str], source: str, allow_empty: bool = False) -> Corpus:
+    """Load a jsonl corpus from its lines, e.g. an open stream, reading them once.
+
+    ``source`` names the input in warnings and errors; records are skipped
+    as in ``ingest``.
+    """
+    return _corpus(*_ingest_jsonl(lines), source, allow_empty)
+
+
+def _corpus(docs: list[Document], skipped: int, source: str, allow_empty: bool) -> Corpus:
     if skipped:
-        log.warning("skipped %d malformed record(s) while ingesting %s", skipped, path)
+        log.warning("skipped %d malformed record(s) while ingesting %s", skipped, source)
     if not docs and not allow_empty:
-        raise CorpusError(f"zero valid records in {path}")
+        raise CorpusError(f"zero valid records in {source}")
     return Corpus(docs)
 
 
-def _ingest_jsonl(path: Path) -> tuple[list[Document], int]:
+def _ingest_jsonl(lines: Iterable[str]) -> tuple[list[Document], int]:
     docs, skipped = [], 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                payload = codec.decode(codec.BASE64, rec["data_b64"])
-            except (json.JSONDecodeError, KeyError, TypeError, codec.DecodeError) as exc:
-                log.warning("line %d: %s", lineno, exc)
-                skipped += 1
-                continue
-            if not payload:
-                log.warning("line %d: empty payload", lineno)
-                skipped += 1
-                continue
-            docs.append(Document(payload, rec.get("label"), str(rec.get("id", lineno))))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            payload = codec.decode(codec.BASE64, rec["data_b64"])
+        except (json.JSONDecodeError, KeyError, TypeError, codec.DecodeError) as exc:
+            log.warning("line %d: %s", lineno, exc)
+            skipped += 1
+            continue
+        if not payload:
+            log.warning("line %d: empty payload", lineno)
+            skipped += 1
+            continue
+        docs.append(Document(payload, rec.get("label"), str(rec.get("id", lineno))))
     return docs, skipped
 
 

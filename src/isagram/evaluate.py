@@ -9,55 +9,14 @@ per-repeat accuracies and a confusion matrix summed over repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import classify, codec, vectorize
+from . import classify
 from .corpus import Corpus, CorpusError, SplitSpec, split
 from .rng import SplitMix64, derive_seed
-from .sparse import CsrRows
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """One feature arm of a comparison."""
-
-    method: str  # tfidf_byte | tfidf_char | hist_endian_byte | hist_endian_char
-    encoding: Optional[codec.Encoding] = None
-    ngram3_cap: int = vectorize.NGRAM3_CAP
-    normalize: bool = True
-
-    def __post_init__(self):
-        if self.method not in vectorize.METHODS:
-            raise ValueError(f"unknown feature method {self.method!r}")
-        if self.method.endswith("_char") != (self.encoding is not None):
-            raise ValueError("encoding must be supplied iff the method is char-level")
-
-    @property
-    def mode(self) -> str:
-        return "char" if self.method.endswith("_char") else "byte"
-
-    def describe(self) -> str:
-        name = self.method.replace("_", "-")
-        return f"{name}:{self.encoding.name}" if self.encoding else name
-
-    def fit_schema(self, train: Corpus) -> vectorize.FeatureSchema:
-        if self.method in vectorize.TFIDF_METHODS:
-            return vectorize.fit_tfidf(
-                train, self.mode, self.encoding,
-                ngram3_cap=self.ngram3_cap, normalize=self.normalize,
-            )
-        return vectorize.hist_schema(self.mode, self.encoding)
-
-    def fit_transform(self, train: Corpus) -> tuple[vectorize.FeatureSchema, CsrRows]:
-        """``fit_schema`` plus the train rows; the batch is encoded and counted once."""
-        if self.method in vectorize.HIST_METHODS:
-            schema = vectorize.hist_schema(self.mode, self.encoding)
-            return schema, vectorize.transform_rows(schema, train.documents)
-        return vectorize.fit_transform(
-            train, self.mode, self.encoding, self.ngram3_cap, self.normalize
-        )
+from .vectorize import FeatureConfig
 
 
 @dataclass(frozen=True, eq=False)

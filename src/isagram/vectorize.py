@@ -16,9 +16,9 @@ code order breaking ties), capped at 5000.
 Each batch is encoded once (``encode_batch``; in char mode one vectorised
 ``codec.encode_digits`` call) and counted once: ``gram_table`` gives the
 distinct (doc, code, count) triples for each n = 1, 2, 3, and one pass over
-n reads each table both to fit and to transform, so ``fit_transform``
-counts a training batch once for both.  Rows leave as CSR
-(``transform_rows``); ``transform_matrix`` is their dense view.
+n reads each table both to fit and to transform.  ``FeatureConfig.fit_transform``
+fits a schema and returns the training rows from one such pass, and
+``transform_rows`` applies a fitted schema to new documents; rows leave as CSR.
 """
 
 from __future__ import annotations
@@ -97,6 +97,15 @@ def terms3_to_codes(terms: Sequence[str], alphabet: Optional[str]) -> np.ndarray
     return np.asarray(codes, dtype=np.int64)
 
 
+def _check_method(method: str, encoding: Optional[codec.Encoding]) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown feature method {method!r}")
+    if method.endswith("_char") and encoding is None:
+        raise ValueError(f"{method} requires an encoding")
+    if not method.endswith("_char") and encoding is not None:
+        raise ValueError(f"{method} does not take an encoding")
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureSchema:
     method: str  # tfidf_byte | tfidf_char | hist_endian_byte | hist_endian_char
@@ -104,15 +113,10 @@ class FeatureSchema:
     vocab: Optional[GramVocabulary] = None
     normalize: bool = True
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown feature method {self.method!r}")
-        if self.is_char and self.encoding is None:
-            raise ValueError(f"{self.method} requires an encoding")
-        if not self.is_char and self.encoding is not None:
-            raise ValueError(f"{self.method} does not take an encoding")
+    def __post_init__(self):  # also guards schemas read back from model files
+        _check_method(self.method, self.encoding)
         if self.is_tfidf and self.vocab is None:
-            raise ValueError(f"{self.method} schema must be fitted (fit_tfidf)")
+            raise ValueError(f"{self.method} schema must be fitted (FeatureConfig.fit_transform)")
 
     @property
     def is_tfidf(self) -> bool:
@@ -131,26 +135,6 @@ class FeatureSchema:
         if self.is_tfidf:
             return self.vocab.dimension
         return self.base + len(ENDIAN_PATTERNS)
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    values: np.ndarray
-    schema: FeatureSchema
-
-
-def hist_schema(mode: str, encoding: Optional[codec.Encoding] = None) -> FeatureSchema:
-    """Static histogram+endianness schema; no fitting step exists or is needed."""
-    _check_mode(mode, encoding)
-    method = "hist_endian_byte" if mode == "byte" else "hist_endian_char"
-    return FeatureSchema(method=method, encoding=encoding)
-
-
-def _check_mode(mode: str, encoding: Optional[codec.Encoding]) -> None:
-    if mode not in ("byte", "char"):
-        raise ValueError(f"mode must be 'byte' or 'char', got {mode!r}")
-    if (mode == "char") != (encoding is not None):
-        raise ValueError("encoding must be supplied iff mode is 'char'")
 
 
 def _flat_codes(payloads: Sequence[bytes], encoding) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +230,9 @@ def _select3(code: np.ndarray, count: np.ndarray, base: int, ngram3_cap: int):
     return pool[ranked].astype(np.int64), np.bincount(slot, minlength=pool.shape[0])[ranked]
 
 
-def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP, emit: bool = True):
-    """Fit a vocabulary on ``batch`` (when ``vocab`` is None) and, when ``emit``,
-    its unnormalized TF x IDF (row, col, value) triples, in one pass over n."""
+def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP):
+    """Fit a vocabulary on ``batch`` (when ``vocab`` is None) and its
+    unnormalized TF x IDF (row, col, value) triples, in one pass over n."""
     base, d_total, lengths = batch.base, batch.size, np.diff(batch.offsets)
     idfs, parts = [], []
     for n in (1, 2, 3):
@@ -263,15 +247,13 @@ def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP, emit: boo
             enc = batch.encoding
             alphabet = None if enc is None else "".join(sorted(enc.alphabet))
             vocab = GramVocabulary(base, alphabet, codes3, *idfs, d_total)
-        if not emit:
-            continue
         if n == 3:  # vocabulary grams only; a gram's slot is its rank position
             j = _find(vocab.sorted3, code)
             doc, count, code = doc[j >= 0], count[j >= 0], vocab.pos3[j[j >= 0]]
         first_col = (0, base, base + base * base)[n - 1]
         tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
         parts.append((doc, first_col + code, count * (idfs[-1][code] * tf_scale)))
-    return vocab, tuple(np.concatenate(x) for x in zip(*parts)) if emit else None
+    return vocab, tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _hist_triples(schema: FeatureSchema, batch: GramBatch, docs: Sequence[Document]):
@@ -296,47 +278,45 @@ def _csr(schema: FeatureSchema, n_docs: int, triples) -> CsrRows:
     return CsrRows.from_triples(rows, cols, values, (n_docs, schema.dimension))
 
 
-def _check_tfidf(train: Corpus, mode: str, encoding, ngram3_cap: int) -> str:
-    """Validate TF-IDF fitting arguments; returns the method name."""
-    _check_mode(mode, encoding)
-    if len(train) == 0:
-        raise ValueError("cannot fit TF-IDF features on an empty corpus")
-    if ngram3_cap < 0:
-        raise ValueError("ngram3_cap must be >= 0")
-    return "tfidf_char" if mode == "char" else "tfidf_byte"
+@dataclass(frozen=True)
+class FeatureConfig:
+    """One feature method, ready to be fitted on a training corpus."""
 
+    method: str  # tfidf_byte | tfidf_char | hist_endian_byte | hist_endian_char
+    encoding: Optional[codec.Encoding] = None
+    ngram3_cap: int = NGRAM3_CAP
+    normalize: bool = True
 
-def fit_tfidf(
-    train: Corpus,
-    mode: str,
-    encoding: Optional[codec.Encoding] = None,
-    ngram3_cap: int = NGRAM3_CAP,
-    normalize: bool = True,
-) -> FeatureSchema:
-    """Learn the gram vocabulary and IDF weights from a training corpus."""
-    method = _check_tfidf(train, mode, encoding, ngram3_cap)
-    vocab, _ = _tfidf(encode_batch(train.documents, encoding), None, ngram3_cap, emit=False)
-    return FeatureSchema(method, encoding, vocab, normalize)
+    def __post_init__(self):
+        _check_method(self.method, self.encoding)
+        if self.ngram3_cap < 0:
+            raise ValueError("ngram3_cap must be >= 0")
 
+    def describe(self) -> str:
+        name = self.method.replace("_", "-")
+        return f"{name}:{self.encoding.name}" if self.encoding else name
 
-def fit_transform(
-    train: Corpus,
-    mode: str,
-    encoding: Optional[codec.Encoding] = None,
-    ngram3_cap: int = NGRAM3_CAP,
-    normalize: bool = True,
-) -> tuple[FeatureSchema, CsrRows]:
-    """``fit_tfidf`` and the training rows, from one encode and count of the batch."""
-    method = _check_tfidf(train, mode, encoding, ngram3_cap)
-    batch = encode_batch(train.documents, encoding)
-    vocab, triples = _tfidf(batch, None, ngram3_cap)
-    rows = _csr(FeatureSchema(method, encoding, vocab, normalize), batch.size, triples)
-    # The vocabulary outlives the pass but was allocated among its count tables;
-    # fresh copies, made once those are freed, do not keep the freed heap from
-    # shrinking (without them peak RSS on protocol-byte was ~8 % higher).
-    arrays = (np.copy(a) for a in (vocab.codes3, vocab.idf1, vocab.idf2, vocab.idf3))
-    vocab = GramVocabulary(vocab.base, vocab.alphabet, *arrays, vocab.fit_corpus_size)
-    return FeatureSchema(method, encoding, vocab, normalize), rows
+    def fit_transform(self, train: Corpus) -> tuple[FeatureSchema, CsrRows]:
+        """The schema fitted on ``train`` and its rows, from one encode and count of the batch.
+
+        Histogram schemas have nothing to fit; TF-IDF needs a nonempty corpus.
+        """
+        if self.method in HIST_METHODS:
+            schema = FeatureSchema(self.method, self.encoding)
+            return schema, transform_rows(schema, train.documents)
+        if len(train) == 0:
+            raise ValueError("cannot fit TF-IDF features on an empty corpus")
+        batch = encode_batch(train.documents, self.encoding)
+        vocab, triples = _tfidf(batch, None, self.ngram3_cap)
+        rows = _csr(
+            FeatureSchema(self.method, self.encoding, vocab, self.normalize), batch.size, triples
+        )
+        # The vocabulary outlives the pass but was allocated among its count tables;
+        # fresh copies, made once those are freed, do not keep the freed heap from
+        # shrinking (without them peak RSS on protocol-byte was ~8 % higher).
+        arrays = (np.copy(a) for a in (vocab.codes3, vocab.idf1, vocab.idf2, vocab.idf3))
+        vocab = GramVocabulary(vocab.base, vocab.alphabet, *arrays, vocab.fit_corpus_size)
+        return FeatureSchema(self.method, self.encoding, vocab, self.normalize), rows
 
 
 def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
@@ -347,26 +327,6 @@ def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
     else:
         triples = _hist_triples(schema, batch, docs)
     return _csr(schema, batch.size, triples)
-
-
-def transform_matrix(schema: FeatureSchema, docs: Sequence[Document]) -> np.ndarray:
-    """Dense feature rows for a batch of documents, shape (len(docs), dimension)."""
-    return transform_rows(schema, docs).toarray()
-
-
-def transform_tfidf(schema: FeatureSchema, doc: Document) -> FeatureVector:
-    """TF x IDF per vocabulary slot, unit-norm unless disabled or all zero."""
-    if not schema.is_tfidf:
-        raise ValueError(f"schema method {schema.method} is not a TF-IDF method")
-    return FeatureVector(transform_matrix(schema, [doc])[0], schema)
-
-
-def transform_hist_endian(
-    mode: str, encoding: Optional[codec.Encoding], doc: Document
-) -> FeatureVector:
-    """Symbol histogram plus 0x0001/0x0100/0xfffe/0xfeff rates (raw bytes)."""
-    schema = hist_schema(mode, encoding)
-    return FeatureVector(transform_matrix(schema, [doc])[0], schema)
 
 
 def simplified_endianness(doc: Document | bytes) -> tuple[int, int]:
@@ -381,13 +341,15 @@ def simplified_endianness(doc: Document | bytes) -> tuple[int, int]:
     return (0, 0)
 
 
-def export_features(schema: FeatureSchema, corpus: Corpus, path) -> int:
-    """CSV export: header id,label,f0..f{d-1}; full-precision decimal values."""
-    rows = transform_matrix(schema, corpus.documents)
+def export_features(rows: CsrRows, corpus: Corpus, path) -> int:
+    """CSV export of ``corpus``'s feature rows: header id,label,f0..f{d-1};
+    full-precision decimal values."""
+    if rows.shape[0] != len(corpus):
+        raise ValueError(f"{rows.shape[0]} feature rows for {len(corpus)} documents")
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["id", "label"] + [f"f{i}" for i in range(schema.dimension)]
+        header = ["id", "label"] + [f"f{i}" for i in range(rows.shape[1])]
         fh.write(",".join(header) + "\n")
-        for d, row in zip(corpus, rows):
+        for d, row in zip(corpus, rows.toarray()):
             cells = [d.id, d.label if d.label is not None else ""]
             cells.extend(repr(v) for v in row.tolist())
             fh.write(",".join(cells) + "\n")

@@ -71,13 +71,14 @@ def test_criterion_2_dimension_table(capsys):
     rich = Corpus(
         [Document(rng.randbytes(200), None, str(i)) for i in range(200)]
     )
-    got = {"byte": vectorize.fit_tfidf(rich, "byte").dimension}
+    got = {"byte": FeatureConfig("tfidf_byte").fit_transform(rich)[0].dimension}
     for name in ("base16", "base32", "base64", "base85"):
-        got[name] = vectorize.fit_tfidf(rich, "char", codec.get_encoding(name)).dimension
-    got["hist_byte"] = vectorize.hist_schema("byte").dimension
+        enc = codec.get_encoding(name)
+        got[name] = FeatureConfig("tfidf_char", enc).fit_transform(rich)[0].dimension
+    got["hist_byte"] = vectorize.FeatureSchema("hist_endian_byte").dimension
     for name in ("base16", "base32", "base64", "base85"):
-        got[f"hist_{name}"] = vectorize.hist_schema(
-            "char", codec.get_encoding(name)
+        got[f"hist_{name}"] = vectorize.FeatureSchema(
+            "hist_endian_char", codec.get_encoding(name)
         ).dimension
     want = {
         "byte": 70792, "base16": 4368, "base32": 6056, "base64": 9160,
@@ -99,7 +100,7 @@ def test_criterion_2_dimension_table(capsys):
 
 def _sparse_oracle_check(docs_corpus, mode, encoding, tolerance=1e-9):
     """Compare fit+transform against the brute-force oracle, sparsely."""
-    schema = vectorize.fit_tfidf(docs_corpus, mode, encoding)
+    schema = FeatureConfig(f"tfidf_{mode}", encoding).fit_transform(docs_corpus)[0]
     alphabet = oracle.alphabet_of(mode, encoding)
     base = len(alphabet)
     seqs = [oracle.seq_of(d.payload, mode, encoding) for d in docs_corpus]
@@ -124,7 +125,7 @@ def _sparse_oracle_check(docs_corpus, mode, encoding, tolerance=1e-9):
     for g, pos in col3.items():
         if abs(schema.vocab.idf3[pos] - idf[g]) > tolerance:
             return f"idf3({g}) diverges"
-    rows = vectorize.transform_matrix(schema, docs_corpus.documents)
+    rows = vectorize.transform_rows(schema, docs_corpus.documents).toarray()
     for seq, row in zip(seqs, rows):
         counts = {}
         for n in (1, 2, 3):
@@ -223,17 +224,17 @@ def test_criterion_5_endianness_signal(capsys):
     gram2_accs, hist_accs = [], []
     for repeat in range(spec.repeats):
         train, test = corpus.split(c, spec, repeat)
-        schema = vectorize.fit_tfidf(train, "byte")
+        schema = FeatureConfig("tfidf_byte").fit_transform(train)[0]
         lo, hi = 256, 256 + 65536  # the 2-gram block
-        Xtr = vectorize.transform_matrix(schema, train.documents)[:, lo:hi]
-        Xte = vectorize.transform_matrix(schema, test.documents)[:, lo:hi]
+        Xtr = vectorize.transform_rows(schema, train.documents).toarray()[:, lo:hi]
+        Xte = vectorize.transform_rows(schema, test.documents).toarray()[:, lo:hi]
         model = classify.fit_vectors(knn, Xtr, [d.label for d in train])
         got, _ = classify.predict_matrix(model, Xte)
         gram2_accs.append(evaluate.accuracy(list(zip([d.label for d in test], got))))
 
-        hist = vectorize.hist_schema("byte")
-        Htr = vectorize.transform_matrix(hist, train.documents)[:, :256]
-        Hte = vectorize.transform_matrix(hist, test.documents)[:, :256]
+        hist = vectorize.FeatureSchema("hist_endian_byte")
+        Htr = vectorize.transform_rows(hist, train.documents).toarray()[:, :256]
+        Hte = vectorize.transform_rows(hist, test.documents).toarray()[:, :256]
         model = classify.fit_vectors(knn, Htr, [d.label for d in train])
         got, _ = classify.predict_matrix(model, Hte)
         hist_accs.append(evaluate.accuracy(list(zip([d.label for d in test], got))))
@@ -297,12 +298,12 @@ def test_criterion_6_classifier_sanity(capsys):
     specs3 = corpus.default_isa_specs(3)
     train = corpus.generate_synthetic(specs3, 10, 40, seed=61)
     held = corpus.generate_synthetic(specs3, 34, 40, seed=62)
-    schema = vectorize.hist_schema("byte")
+    config = FeatureConfig("hist_endian_byte")
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for kind in classify.KINDS:
-            model = classify.fit(ClassifierSpec(kind, seed=2), schema, train)
+            model = evaluate.fit_model(config, ClassifierSpec(kind, seed=2), train)
             path = Path(tmp) / f"{kind}.model"
             classify.save_model(model, path)
             loaded = classify.load_model(path)
@@ -406,8 +407,8 @@ def test_criterion_8_external_dataset_ordering(capsys):
             )
     r = evaluate.run_comparison(c, [byte_cfg, char_cfg], [ClassifierSpec("cnb")], split_spec)
     train0, _ = corpus.split(c, split_spec, 0)
-    dim_byte = byte_cfg.fit_schema(train0).dimension
-    dim_char = char_cfg.fit_schema(train0).dimension
+    dim_byte = byte_cfg.fit_transform(train0)[0].dimension
+    dim_char = char_cfg.fit_transform(train0)[0].dimension
     if dim_byte < 16 * dim_char:
         problems.append(f"feature reduction {dim_byte}/{dim_char} < 16x")
     if r[0].mean_accuracy - r[1].mean_accuracy > 0.02:

@@ -9,7 +9,6 @@ from isagram.classify import (
     ClassifierSpec,
     ModelFormatError,
     TrainedModel,
-    fit,
     fit_vectors,
     load_model,
     predict_corpus,
@@ -18,6 +17,7 @@ from isagram.classify import (
     save_model,
 )
 from isagram.corpus import Corpus, Document
+from isagram.evaluate import FeatureConfig, fit_model
 
 
 def cloud_3class(n_per_class=60, seed=0):
@@ -247,7 +247,7 @@ def test_fit_input_validation():
 def test_fit_rejects_unlabeled_corpus():
     docs = Corpus([Document(b"\x01\x02", "a", "1"), Document(b"\x03\x04", None, "2")])
     with pytest.raises(ValueError):
-        fit(ClassifierSpec("mnb"), vectorize.hist_schema("byte"), docs)
+        fit_model(FeatureConfig("hist_endian_byte"), ClassifierSpec("mnb"), docs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +264,7 @@ def synth_corpora():
 @pytest.mark.parametrize("kind", classify.KINDS)
 def test_save_load_roundtrip_every_kind(tmp_path, kind):
     train, held = synth_corpora()
-    schema = vectorize.hist_schema("byte")
-    model = fit(ClassifierSpec(kind, seed=4), schema, train)
+    model = fit_model(FeatureConfig("hist_endian_byte"), ClassifierSpec(kind, seed=4), train)
     path = tmp_path / f"{kind}.model"
     save_model(model, path)
     loaded = load_model(path)
@@ -279,14 +278,14 @@ def test_save_load_roundtrip_every_kind(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", classify.KINDS)
 def test_corpus_and_dense_matrix_paths_bit_identical(kind):
-    # fit/predict_corpus take CSR rows, fit_vectors/predict_matrix a dense
-    # transform_matrix; both must give the very same parameters and scores
+    # fit_model/predict_corpus take CSR rows, fit_vectors/predict_matrix a dense
+    # matrix; both must give the very same parameters and scores
     train, held = synth_corpora()
-    schema = vectorize.fit_tfidf(train, "byte", ngram3_cap=200)
     hp = {"epochs": 3} if "epochs" in classify.DEFAULT_HYPERPARAMETERS[kind] else {}
     spec = ClassifierSpec(kind, hp, seed=4)
-    via_corpus = fit(spec, schema, train)
-    dense = vectorize.transform_matrix(schema, train.documents)
+    via_corpus = fit_model(FeatureConfig("tfidf_byte", ngram3_cap=200), spec, train)
+    schema = via_corpus.schema
+    dense = vectorize.transform_rows(schema, train.documents).toarray()
     via_matrix = fit_vectors(spec, dense, [d.label for d in train], schema=schema)
     assert via_corpus.labels == via_matrix.labels
     assert sorted(via_corpus.parameters) == sorted(via_matrix.parameters)
@@ -294,7 +293,7 @@ def test_corpus_and_dense_matrix_paths_bit_identical(kind):
         assert np.array_equal(value, via_matrix.parameters[name]), name
     corpus_labels, corpus_scores = predict_corpus(via_corpus, held)
     matrix_labels, matrix_scores = predict_matrix(
-        via_corpus, vectorize.transform_matrix(schema, held.documents)
+        via_corpus, vectorize.transform_rows(schema, held.documents).toarray()
     )
     assert corpus_labels == matrix_labels
     assert np.array_equal(corpus_scores, matrix_scores)
@@ -302,8 +301,7 @@ def test_corpus_and_dense_matrix_paths_bit_identical(kind):
 
 def test_save_load_preserves_tfidf_vocabulary(tmp_path):
     train, held = synth_corpora()
-    schema = vectorize.fit_tfidf(train, "byte", ngram3_cap=50)
-    model = fit(ClassifierSpec("cnb"), schema, train)
+    model = fit_model(FeatureConfig("tfidf_byte", ngram3_cap=50), ClassifierSpec("cnb"), train)
     path = tmp_path / "cnb.model"
     save_model(model, path)
     loaded = load_model(path)
@@ -317,8 +315,8 @@ def test_save_load_preserves_tfidf_vocabulary(tmp_path):
 
 def test_save_load_char_mode_schema(tmp_path):
     train, held = synth_corpora()
-    schema = vectorize.fit_tfidf(train, "char", classify.codec.BASE16)
-    model = fit(ClassifierSpec("mnb"), schema, train)
+    config = FeatureConfig("tfidf_char", classify.codec.BASE16)
+    model = fit_model(config, ClassifierSpec("mnb"), train)
     save_model(model, tmp_path / "m.model")
     loaded = load_model(tmp_path / "m.model")
     assert loaded.schema.encoding.name == "base16"

@@ -1,12 +1,14 @@
+import base64
 import io
 import json
 import subprocess
 import sys
+import tempfile
 import types
 
 import pytest
 
-from isagram import classify, corpus
+from isagram import classify, codec, corpus, vectorize
 from isagram.cli import main
 
 
@@ -150,6 +152,43 @@ def test_train_bad_hyperparameter_is_usage_error(capsys, tmp_path):
     assert rc == 1
 
 
+def write_records(path, records):
+    """A jsonl corpus of (label, payload) records; a label of None is left out."""
+    with open(path, "w") as fh:
+        for i, (label, payload) in enumerate(records):
+            rec = {"id": str(i), "data_b64": base64.b64encode(payload).decode()}
+            if label is not None:
+                rec["label"] = label
+            fh.write(json.dumps(rec) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "labels", [["a", "b", None], ["a", "a", "a"]], ids=["unlabeled", "one-label"]
+)
+def test_train_on_unusable_corpus_is_data_error(capsys, tmp_path, labels):
+    records = [(label, bytes([i + 1]) * 8) for i, label in enumerate(labels)]
+    corpus_path = write_records(tmp_path / "c.jsonl", records)
+    rc, _, err = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", "cnb", "--out", str(tmp_path / "m.model"),
+    )
+    assert rc == 2
+    assert err.startswith("data error:")
+
+
+@pytest.mark.parametrize("command", ["train", "featurize"])
+def test_negative_ngram3_cap_is_usage_error(capsys, tmp_path, command):
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=4)
+    model = ["--model", "cnb"] if command == "train" else []
+    rc, _, err = run(
+        capsys, command, "--corpus", str(corpus_path), "--features", "tfidf-byte",
+        "--ngram3-cap", "-1", *model, "--out", str(tmp_path / "out"),
+    )
+    assert rc == 1
+    assert "ngram3_cap" in err
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -204,6 +243,27 @@ def test_predict_jsonl_from_stdin(capsys, monkeypatch, knn_model):
     rc, out, _ = run(capsys, "predict", "--model", str(model_path), "--input", "-")
     assert rc == 0
     assert out.splitlines()[0].split("\t")[:2] == ["q1", doc.label]
+
+
+def test_predict_stdin_needs_no_temporary_file(capsys, monkeypatch, knn_model):
+    corpus_path, model_path, c = knn_model
+
+    def no_temp_files(*args, **kwargs):
+        raise OSError("no temporary files here")
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", no_temp_files)
+    monkeypatch.setattr("sys.stdin", io.StringIO(corpus_path.read_text()))
+    rc, out, _ = run(capsys, "predict", "--model", str(model_path), "--input", "-")
+    assert rc == 0
+    assert [line.split("\t")[1] for line in out.splitlines()] == [d.label for d in c]
+
+
+def test_predict_empty_stdin_names_stdin(capsys, monkeypatch, knn_model):
+    _, model_path, _ = knn_model
+    monkeypatch.setattr("sys.stdin", io.StringIO("not json\n"))
+    rc, _, err = run(capsys, "predict", "--model", str(model_path), "--input", "-")
+    assert rc == 2
+    assert "zero valid records in <stdin>" in err
 
 
 def test_predict_corrupt_model_is_data_error(capsys, tmp_path, knn_model):
@@ -295,6 +355,29 @@ def test_evaluate_infeasible_split_is_data_error(capsys, tmp_path):
     assert rc == 2
 
 
+def test_evaluate_on_one_label_is_data_error(capsys, tmp_path):
+    records = [("a", bytes([i + 1]) * 8) for i in range(6)]
+    corpus_path = write_records(tmp_path / "c.jsonl", records)
+    rc, _, err = run(
+        capsys, "evaluate", "--corpus", str(corpus_path), "--repeats", "1",
+        "--train-per-class", "3", "--test-per-class", "2", "--out-dir", str(tmp_path / "r"),
+    )
+    assert rc == 2
+    assert err.startswith("data error:")
+
+
+@pytest.mark.parametrize("flag", ["--repeats", "--train-per-class"])
+def test_evaluate_zero_count_flag_is_usage_error(capsys, tmp_path, flag):
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=4)
+    counts = {"--repeats": "1", "--train-per-class": "2", "--test-per-class": "1", flag: "0"}
+    rc, _, err = run(
+        capsys, "evaluate", "--corpus", str(corpus_path),
+        *[x for pair in counts.items() for x in pair], "--out-dir", str(tmp_path / "r"),
+    )
+    assert rc == 1
+    assert err.startswith("usage error:")
+
+
 def test_evaluate_inline_char_encoding(capsys, tmp_path):
     corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=16)
     out_dir = tmp_path / "r"
@@ -347,6 +430,29 @@ def test_featurize_tfidf_on_empty_corpus_is_data_error(capsys, tmp_path):
         "--features", "tfidf-byte", "--out", str(tmp_path / "f.csv"),
     )
     assert rc == 2
+
+
+def test_featurize_encodes_and_counts_the_corpus_once(capsys, tmp_path, monkeypatch):
+    corpus_path, c = make_corpus_file(tmp_path, docs_per_class=5)
+    calls = {"encode_digits": 0, "gram_table": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def shim(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, shim)
+
+    counting(codec, "encode_digits")
+    counting(vectorize, "gram_table")
+    rc, out, _ = run(
+        capsys, "featurize", "--corpus", str(corpus_path),
+        "--features", "tfidf-char:base85", "--out", str(tmp_path / "f.csv"),
+    )
+    assert rc == 0 and out == f"wrote {len(c)} rows\n"
+    assert calls == {"encode_digits": 1, "gram_table": 3}
 
 
 def test_featurize_inline_encoding(capsys, tmp_path):

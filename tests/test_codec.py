@@ -111,6 +111,23 @@ def test_decode_rejects_malformed(name, text):
         codec.decode(codec.get_encoding(name), text)
 
 
+@pytest.mark.parametrize(
+    "name,text,canonical",
+    [
+        ("base64", "QR==", "QQ=="),
+        ("base32", "MF======", "ME======"),
+        ("base85", "5m", "5l"),
+        ("base85", "5u", "5l"),
+    ],
+)
+def test_decode_rejects_noncanonical_text(name, text, canonical):
+    # the unused low bits of a partial group must be zero, as encode writes them
+    enc = codec.get_encoding(name)
+    with pytest.raises(codec.DecodeError):
+        codec.decode(enc, text)
+    assert codec.encode(enc, codec.decode(enc, canonical)) == canonical
+
+
 def test_decode_error_is_value_error():
     assert issubclass(codec.DecodeError, ValueError)
 
@@ -162,3 +179,16 @@ def test_decode_of_any_text_returns_bytes_or_raises_decode_error(enc, text):
     except codec.DecodeError:
         return
     assert codec.decode(enc, codec.encode(enc, payload)) == payload
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_accepted_text_is_canonical(data):
+    enc = data.draw(encodings)
+    extra = "abcdef" if enc is codec.BASE16 else ""  # Base16 takes either case
+    text = data.draw(st.text(alphabet=enc.alphabet + "=" + extra, max_size=24))
+    try:
+        payload = codec.decode(enc, text)
+    except codec.DecodeError:
+        return
+    assert codec.encode(enc, payload) == (text.upper() if enc is codec.BASE16 else text)

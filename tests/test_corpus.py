@@ -72,6 +72,20 @@ def test_ingest_skips_malformed_lines(tmp_path, caplog):
     assert "4 malformed" in caplog.text
 
 
+def test_ingest_skips_noncanonical_base64(tmp_path, caplog):
+    # "QR==" decodes to b"A" only by ignoring nonzero padding bits
+    path = tmp_path / "loose.jsonl"
+    lines = [
+        json.dumps({"id": "canonical", "label": "a", "data_b64": "QQ=="}),
+        json.dumps({"id": "loose", "label": "a", "data_b64": "QR=="}),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="isagram.corpus"):
+        got = corpus.ingest(path, "jsonl")
+    assert [d.id for d in got] == ["canonical"]
+    assert "1 malformed" in caplog.text
+
+
 def test_ingest_zero_valid_records(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isagram import classify, codec, corpus, evaluate, vectorize
+from isagram import codec, corpus, evaluate, vectorize
 from isagram.classify import ClassifierSpec
 from isagram.corpus import Corpus, CorpusError, Document, SplitSpec
 from isagram.evaluate import (
@@ -148,13 +148,12 @@ def test_no_test_leakage_into_fitting():
     train2, test2 = corpus.split(c2, spec, 0)
     assert [d.id for d in train2] == [d.id for d in train1]
     config = FeatureConfig("tfidf_byte")
-    s1 = config.fit_schema(train1)
-    s2 = config.fit_schema(train2)
+    m1 = evaluate.fit_model(config, ClassifierSpec("cnb"), train1)
+    m2 = evaluate.fit_model(config, ClassifierSpec("cnb"), train2)
+    s1, s2 = m1.schema, m2.schema
     assert np.array_equal(s1.vocab.codes3, s2.vocab.codes3)
     for name in ("idf1", "idf2", "idf3"):
         assert np.array_equal(getattr(s1.vocab, name), getattr(s2.vocab, name))
-    m1 = classify.fit(ClassifierSpec("cnb"), s1, train1)
-    m2 = classify.fit(ClassifierSpec("cnb"), s2, train2)
     assert np.array_equal(
         m1.parameters["feature_log_prob"], m2.parameters["feature_log_prob"]
     )
@@ -171,9 +170,12 @@ def test_feature_config_validation():
         FeatureConfig("tfidf_char")
     with pytest.raises(ValueError):
         FeatureConfig("tfidf_byte", codec.BASE16)
+    with pytest.raises(ValueError):
+        FeatureConfig("tfidf_byte", ngram3_cap=-1)
     assert FeatureConfig("tfidf_byte").describe() == "tfidf-byte"
     assert FeatureConfig("tfidf_char", codec.BASE16).describe() == "tfidf-char:base16"
-    assert FeatureConfig("hist_endian_char", codec.BASE85).mode == "char"
+    one_doc = Corpus([Document(b"\x01", None, "q")])
+    assert FeatureConfig("hist_endian_char", codec.BASE85).fit_transform(one_doc)[0].is_char
 
 
 # ---------------------------------------------------------------------------

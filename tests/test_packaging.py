@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,3 +15,17 @@ def test_package_version_matches_pyproject():
     with open(pyproject, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == isagram.__version__
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    # importing scipy costs more than a whole `isagram predict` spends on features
+    probe = (
+        "import sys, isagram\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
+    )
+    src = Path(isagram.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=src,
+    ).stdout
+    assert out.strip() == "[]"

@@ -12,15 +12,10 @@ from isagram.evaluate import FeatureConfig
 from isagram.sparse import CsrRows
 from isagram.vectorize import (
     FeatureSchema,
-    fit_tfidf,
     gram_table,
-    hist_schema,
     simplified_endianness,
     terms3_to_codes,
-    transform_hist_endian,
-    transform_matrix,
     transform_rows,
-    transform_tfidf,
 )
 
 
@@ -98,13 +93,11 @@ ONE_COUNT_CONFIGS = [FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byt
 @pytest.mark.parametrize("config", ONE_COUNT_CONFIGS, ids=FeatureConfig.describe)
 def test_fit_transform_matches_fit_then_transform(config):
     train = rand_corpus(5, 9, 70)
+    # the rows of the one-pass fit equal the fitted schema applied to the same
+    # documents afresh (the vocabulary itself is checked against the oracle)
     schema, rows = config.fit_transform(train)
-    want_schema = config.fit_schema(train)
-    want = transform_rows(want_schema, train.documents)
-    assert schema.method == want_schema.method and schema.dimension == want_schema.dimension
-    if schema.is_tfidf:
-        for name in ("codes3", "idf1", "idf2", "idf3"):
-            assert np.array_equal(getattr(schema.vocab, name), getattr(want_schema.vocab, name))
+    want = transform_rows(schema, train.documents)
+    assert schema.method == config.method and schema.dimension == want.shape[1]
     assert rows.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(rows, name), getattr(want, name))
@@ -118,12 +111,12 @@ def test_fit_transform_matches_fit_then_transform(config):
 def test_tfidf_matches_oracle_byte(normalize):
     train = rand_corpus(11, 8, 20)
     extra = rand_corpus(12, 3, 20)  # unseen docs exercise out-of-vocabulary grams
-    schema = fit_tfidf(train, "byte", normalize=normalize)
+    schema = FeatureConfig("tfidf_byte", normalize=normalize).fit_transform(train)[0]
     seqs = [oracle.seq_of(d.payload, "byte") for d in train]
     vocab, idf = oracle.oracle_fit(seqs, oracle.alphabet_of("byte"))
     assert schema.vocab.codes3.tolist() == oracle_codes3(vocab, 256, None)
     docs = list(train) + list(extra)
-    got = transform_matrix(schema, docs)
+    got = transform_rows(schema, docs).toarray()
     want = np.array(
         [oracle.oracle_transform(oracle.seq_of(d.payload, "byte"), vocab, idf, normalize) for d in docs]
     )
@@ -135,12 +128,12 @@ def test_tfidf_matches_oracle_byte(normalize):
 def test_tfidf_matches_oracle_char(name):
     enc = codec.get_encoding(name)
     train = rand_corpus(21, 6, 16)
-    schema = fit_tfidf(train, "char", enc)
+    schema = FeatureConfig("tfidf_char", enc).fit_transform(train)[0]
     seqs = [oracle.seq_of(d.payload, "char", enc) for d in train]
     alphabet = oracle.alphabet_of("char", enc)
     vocab, idf = oracle.oracle_fit(seqs, alphabet)
     assert schema.vocab.codes3.tolist() == oracle_codes3(vocab, len(alphabet), alphabet)
-    got = transform_matrix(schema, train.documents)
+    got = transform_rows(schema, train.documents).toarray()
     want = np.array(
         [oracle.oracle_transform(s, vocab, idf) for s in seqs]
     )
@@ -150,7 +143,7 @@ def test_tfidf_matches_oracle_char(name):
 def test_hist_matches_oracle():
     c = rand_corpus(31, 10, 24)
     for mode, enc in [("byte", None), ("char", codec.BASE32)]:
-        got = transform_matrix(hist_schema(mode, enc), c.documents)
+        got = transform_rows(FeatureSchema(f"hist_endian_{mode}", enc), c.documents).toarray()
         want = np.array([oracle.oracle_hist_endian(d.payload, mode, enc) for d in c])
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -161,26 +154,27 @@ def test_hist_matches_oracle():
 
 def test_dimension_table():
     c = rand_corpus(41, 120, 160)
-    assert fit_tfidf(c, "byte").dimension == 70792
+    assert FeatureConfig("tfidf_byte").fit_transform(c)[0].dimension == 70792
     expected = {"base16": 4368, "base32": 6056, "base64": 9160, "base85": 12310}
     for name, dim in expected.items():
-        assert fit_tfidf(c, "char", codec.get_encoding(name)).dimension == dim
-    assert hist_schema("byte").dimension == 260
+        schema = FeatureConfig("tfidf_char", codec.get_encoding(name)).fit_transform(c)[0]
+        assert schema.dimension == dim
+    assert FeatureSchema("hist_endian_byte").dimension == 260
     hist_dims = {"base16": 20, "base32": 36, "base64": 68, "base85": 89}
     for name, dim in hist_dims.items():
-        assert hist_schema("char", codec.get_encoding(name)).dimension == dim
+        assert FeatureSchema("hist_endian_char", codec.get_encoding(name)).dimension == dim
 
 
 def test_base16_grams3_block_is_always_full():
     c = Corpus([Document(b"\x00", None, "a"), Document(b"\x01", None, "b")])
-    schema = fit_tfidf(c, "char", codec.BASE16)
+    schema = FeatureConfig("tfidf_char", codec.BASE16).fit_transform(c)[0]
     assert schema.vocab.codes3.shape[0] == 4096  # 16^3 <= cap: unobserved included
     assert schema.dimension == 4368
 
 
 def test_byte_grams3_block_shrinks_below_cap():
     c = Corpus([Document(b"\x00\x01\x02\x03", None, "a")])
-    schema = fit_tfidf(c, "byte")
+    schema = FeatureConfig("tfidf_byte").fit_transform(c)[0]
     assert schema.vocab.codes3.shape[0] == 2  # only observed 3-grams compete
     assert schema.dimension == 256 + 65536 + 2
 
@@ -190,7 +184,7 @@ def test_grams3_rank_order_and_tiebreak():
         Document(b"\x05\x06\x07" * 3 + b"\x01\x02\x03", None, "a"),
         Document(b"\x01\x02\x03\x09\x08\x07", None, "b"),
     ]
-    schema = fit_tfidf(Corpus(docs), "byte")
+    schema = FeatureConfig("tfidf_byte").fit_transform(Corpus(docs))[0]
     codes = schema.vocab.codes3.tolist()
 
     def code(g):
@@ -204,7 +198,7 @@ def test_grams3_rank_order_and_tiebreak():
 
 def test_ngram3_cap_parameter():
     c = rand_corpus(43, 30, 60)
-    schema = fit_tfidf(c, "byte", ngram3_cap=500)
+    schema = FeatureConfig("tfidf_byte", ngram3_cap=500).fit_transform(c)[0]
     assert schema.vocab.codes3.shape[0] == 500
     assert schema.dimension == 256 + 65536 + 500
 
@@ -221,7 +215,7 @@ def test_idf_example_values():
             Document(b"\xd7\x02", None, "3"),
         ]
     )
-    idf1 = fit_tfidf(c, "byte").vocab.idf1
+    idf1 = FeatureConfig("tfidf_byte").fit_transform(c)[0].vocab.idf1
     assert idf1[0xD7] == 1.0  # present in all D docs: ln(1) + 1
     assert idf1[0x01] == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
     assert idf1[0x03] == pytest.approx(math.log(4.0) + 1.0, abs=1e-12)  # unobserved
@@ -229,7 +223,7 @@ def test_idf_example_values():
 
 def test_idf_monotone_in_document_frequency():
     c = rand_corpus(51, 12, 30)
-    vocab = fit_tfidf(c, "byte").vocab
+    vocab = FeatureConfig("tfidf_byte").fit_transform(c)[0].vocab
     df = np.zeros(256, dtype=int)
     for d in c:
         for b in set(d.payload):
@@ -244,9 +238,9 @@ def test_idf_monotone_in_document_frequency():
 
 def test_common_gram_attenuation():
     docs = [Document(bytes([0xAA, i]), None, str(i)) for i in range(4)]
-    schema = fit_tfidf(Corpus(docs), "byte", normalize=False)
+    schema = FeatureConfig("tfidf_byte", normalize=False).fit_transform(Corpus(docs))[0]
     assert schema.vocab.idf1[0xAA] == 1.0  # in every doc: the minimum idf
-    row = transform_matrix(schema, [Document(b"\xaa\xbb", None, "q")])[0]
+    row = transform_rows(schema, [Document(b"\xaa\xbb", None, "q")]).toarray()[0]
     # equal TF, but the ubiquitous gram must not win the argmax
     assert row[0xAA] > 0.0
     assert np.argmax(row[:256]) == 0xBB
@@ -257,31 +251,32 @@ def test_common_gram_attenuation():
 # ---------------------------------------------------------------------------
 
 def test_single_byte_doc_normalizes_to_unit_spike():
-    schema = fit_tfidf(rand_corpus(61, 5, 10), "byte")
-    row = transform_matrix(schema, [Document(b"\xd7", None, "q")])[0]
+    schema = FeatureConfig("tfidf_byte").fit_transform(rand_corpus(61, 5, 10))[0]
+    row = transform_rows(schema, [Document(b"\xd7", None, "q")]).toarray()[0]
     assert row[0xD7] == 1.0
     assert np.count_nonzero(row) == 1
 
 
 def test_short_docs_zero_higher_blocks():
-    schema = fit_tfidf(rand_corpus(62, 5, 10), "byte", normalize=False)
-    row2 = transform_matrix(schema, [Document(b"\x10\x11", None, "q")])[0]
+    schema = FeatureConfig("tfidf_byte", normalize=False).fit_transform(rand_corpus(62, 5, 10))[0]
+    row2 = transform_rows(schema, [Document(b"\x10\x11", None, "q")]).toarray()[0]
     assert np.count_nonzero(row2[256 + 65536 :]) == 0
     assert np.count_nonzero(row2[256 : 256 + 65536]) == 1
-    row1 = transform_matrix(schema, [Document(b"\x10", None, "q")])[0]
+    row1 = transform_rows(schema, [Document(b"\x10", None, "q")]).toarray()[0]
     assert np.count_nonzero(row1[256:]) == 0
 
 
 def test_zero_length_payload_leaves_zero_row():
-    schema = fit_tfidf(rand_corpus(63, 4, 8), "byte")
-    row = transform_matrix(schema, [Document(b"", None, "q")])[0]
+    schema = FeatureConfig("tfidf_byte").fit_transform(rand_corpus(63, 4, 8))[0]
+    row = transform_rows(schema, [Document(b"", None, "q")]).toarray()[0]
     assert not row.any()
 
 
 @pytest.mark.parametrize("mode, enc", [("byte", None), ("char", codec.BASE32)])
 def test_zero_length_payload_leaves_zero_hist_row(mode, enc):
-    schema = hist_schema(mode, enc)
-    rows = transform_matrix(schema, [Document(b"", None, "q"), Document(b"\x00\x01", None, "r")])
+    schema = FeatureSchema(f"hist_endian_{mode}", enc)
+    docs = [Document(b"", None, "q"), Document(b"\x00\x01", None, "r")]
+    rows = transform_rows(schema, docs).toarray()
     assert rows.shape == (2, schema.dimension)
     assert not rows[0].any()
     assert rows[1].any()
@@ -289,10 +284,12 @@ def test_zero_length_payload_leaves_zero_hist_row(mode, enc):
 
 def test_unit_norm_unless_disabled():
     c = rand_corpus(64, 8, 40)
-    on = transform_matrix(fit_tfidf(c, "byte"), c.documents)
+    on = transform_rows(FeatureConfig("tfidf_byte").fit_transform(c)[0], c.documents)
+    on = on.toarray()
     norms = np.linalg.norm(on, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    off = transform_matrix(fit_tfidf(c, "byte", normalize=False), c.documents)
+    raw = FeatureConfig("tfidf_byte", normalize=False).fit_transform(c)[0]
+    off = transform_rows(raw, c.documents).toarray()
     off_norms = np.linalg.norm(off, axis=1)
     assert np.max(np.abs(off_norms - 1.0)) > 1e-6  # raw magnitudes survive
     rescaled = off / off_norms[:, None]
@@ -301,18 +298,19 @@ def test_unit_norm_unless_disabled():
 
 def test_length_robustness_constant_payload():
     train = list(rand_corpus(65, 6, 30)) + [Document(b"\x90" * 16, None, "k")]
-    schema = fit_tfidf(Corpus(train), "byte")
-    base = transform_matrix(schema, [Document(b"\x90" * 37, None, "a")])[0]
+    schema = FeatureConfig("tfidf_byte").fit_transform(Corpus(train))[0]
+    base = transform_rows(schema, [Document(b"\x90" * 37, None, "a")]).toarray()[0]
     for k in (2, 3, 8):
-        dup = transform_matrix(schema, [Document(b"\x90" * (37 * k), None, "b")])[0]
+        dup = transform_rows(schema, [Document(b"\x90" * (37 * k), None, "b")]).toarray()[0]
         assert np.max(np.abs(dup - base)) < 1e-12
 
 
 def test_length_robustness_general_payload():
     payload = bytes([0xAB, 0xCD] * 80)
-    schema = fit_tfidf(Corpus([Document(payload, None, "t")]), "byte", normalize=False)
-    one = transform_matrix(schema, [Document(payload, None, "a")])[0]
-    two = transform_matrix(schema, [Document(payload * 2, None, "b")])[0]
+    train = Corpus([Document(payload, None, "t")])
+    schema = FeatureConfig("tfidf_byte", normalize=False).fit_transform(train)[0]
+    one = transform_rows(schema, [Document(payload, None, "a")]).toarray()[0]
+    two = transform_rows(schema, [Document(payload * 2, None, "b")]).toarray()[0]
     # 1-gram TFs are scale-free: 2c/2L = c/L up to accumulation rounding
     assert np.max(np.abs(two[:256] - one[:256])) < 1e-12
     # junction windows shift higher-n TFs by O(1/L), no further
@@ -323,16 +321,19 @@ def test_length_robustness_general_payload():
 # histogram + endianness
 # ---------------------------------------------------------------------------
 
+HIST_BYTE = FeatureSchema("hist_endian_byte")
+
+
 def test_hist_byte_example():
-    row = transform_hist_endian("byte", None, Document(b"\x00\x01", None, "q")).values
+    row = transform_rows(HIST_BYTE, [Document(b"\x00\x01", None, "q")]).toarray()[0]
     assert row[0] == 0.5 and row[1] == 0.5
     assert np.count_nonzero(row[:256]) == 2
     assert row[256:].tolist() == [0.5, 0.0, 0.0, 0.0]
 
 
 def test_hist_char_base16_example():
-    vec = transform_hist_endian("char", codec.BASE16, Document(b"\xd7\x43", None, "q"))
-    row = vec.values
+    schema = FeatureSchema("hist_endian_char", codec.BASE16)
+    row = transform_rows(schema, [Document(b"\xd7\x43", None, "q")]).toarray()[0]
     assert row.shape == (20,)
     alphabet = sorted(codec.BASE16.alphabet)
     for ch in "D743":
@@ -342,22 +343,22 @@ def test_hist_char_base16_example():
 
 
 def test_hist_endian_patterns():
-    row = transform_hist_endian("byte", None, Document(b"\xff\xfe", None, "q")).values
+    row = transform_rows(HIST_BYTE, [Document(b"\xff\xfe", None, "q")]).toarray()[0]
     assert row[256:].tolist() == [0.0, 0.0, 0.5, 0.0]
-    big = transform_hist_endian("byte", None, Document(b"\x00\x01\x00\x01", None, "q")).values
+    big = transform_rows(HIST_BYTE, [Document(b"\x00\x01\x00\x01", None, "q")]).toarray()[0]
     assert big[256:].tolist() == [0.5, 0.25, 0.0, 0.0]  # overlap-counted, / 4 bytes
 
 
 def test_hist_char_endianness_uses_raw_bytes():
     doc = Document(b"\x00\x01\xfe\xff", None, "q")
-    row = transform_hist_endian("char", codec.BASE64, doc).values
+    row = transform_rows(FeatureSchema("hist_endian_char", codec.BASE64), [doc]).toarray()[0]
     assert row[64:].tolist() == [0.25, 0.0, 0.0, 0.25]
 
 
 def test_histogram_block_sums_to_one():
     for mode, enc in [("byte", None), ("char", codec.BASE85)]:
-        schema = hist_schema(mode, enc)
-        rows = transform_matrix(schema, rand_corpus(71, 10, 50).documents)
+        schema = FeatureSchema(f"hist_endian_{mode}", enc)
+        rows = transform_rows(schema, rand_corpus(71, 10, 50).documents).toarray()
         sums = rows[:, : schema.base].sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
 
@@ -383,25 +384,24 @@ def test_schema_validation():
     with pytest.raises(ValueError):
         FeatureSchema(method="tfidf_byte")  # unfitted
     with pytest.raises(ValueError):
-        fit_tfidf(Corpus([]), "byte")
+        FeatureConfig("tfidf_byte").fit_transform(Corpus([]))
     with pytest.raises(ValueError):
-        fit_tfidf(rand_corpus(1, 2, 4), "hex")
+        FeatureConfig("tfidf_hex")
     with pytest.raises(ValueError):
-        fit_tfidf(rand_corpus(1, 2, 4), "byte", codec.BASE16)
+        FeatureConfig("tfidf_byte", codec.BASE16)
     with pytest.raises(ValueError):
-        fit_tfidf(rand_corpus(1, 2, 4), "byte", ngram3_cap=-1)
-    with pytest.raises(ValueError):
-        transform_tfidf(hist_schema("byte"), Document(b"\x01", None, "q"))
+        FeatureConfig("tfidf_byte", ngram3_cap=-1)
 
 
 def test_gram3_terms_roundtrip():
-    byte_schema = fit_tfidf(rand_corpus(81, 6, 20), "byte")
+    byte_schema = FeatureConfig("tfidf_byte").fit_transform(rand_corpus(81, 6, 20))[0]
     terms = byte_schema.vocab.gram3_terms()
     assert all(len(t) == 6 for t in terms)
     back = terms3_to_codes(terms, None)
     assert np.array_equal(back, byte_schema.vocab.codes3)
 
-    char_schema = fit_tfidf(rand_corpus(82, 6, 20), "char", codec.BASE32)
+    char_config = FeatureConfig("tfidf_char", codec.BASE32)
+    char_schema = char_config.fit_transform(rand_corpus(82, 6, 20))[0]
     terms = char_schema.vocab.gram3_terms()
     assert all(len(t) == 3 for t in terms)
     back = terms3_to_codes(terms, char_schema.vocab.alphabet)
@@ -414,15 +414,15 @@ def test_gram3_terms_roundtrip():
 
 def test_export_features_roundtrip(tmp_path):
     c = rand_corpus(91, 6, 24, label="x86")
-    schema = fit_tfidf(c, "char", codec.BASE16)
+    schema, fitted = FeatureConfig("tfidf_char", codec.BASE16).fit_transform(c)
     path = tmp_path / "features.csv"
-    assert vectorize.export_features(schema, c, path) == 6
+    assert vectorize.export_features(fitted, c, path) == 6
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 7
     assert rows[0][:2] == ["id", "label"]
     assert rows[0][2:] == [f"f{i}" for i in range(schema.dimension)]
-    want = transform_matrix(schema, c.documents)
+    want = transform_rows(schema, c.documents).toarray()
     for row, doc, expect in zip(rows[1:], c, want):
         assert row[0] == doc.id and row[1] == "x86"
         assert np.array_equal(np.array([float(v) for v in row[2:]]), expect)
@@ -430,7 +430,8 @@ def test_export_features_roundtrip(tmp_path):
 
 def test_export_features_empty_corpus(tmp_path):
     path = tmp_path / "empty.csv"
-    assert vectorize.export_features(hist_schema("byte"), Corpus([]), path) == 0
+    _, rows = FeatureConfig("hist_endian_byte").fit_transform(Corpus([]))
+    assert vectorize.export_features(rows, Corpus([]), path) == 0
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("id,label,f0,") and lines[0].endswith(f",f{259}")
