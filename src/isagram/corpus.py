@@ -138,7 +138,8 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
     if fmt == "jsonl":
-        with open(path, "r", encoding="utf-8") as fh:
+        # records end at "\n" only, as on sys.stdin, so a file and stdin agree
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
             docs, skipped = _ingest_jsonl(fh)
     elif fmt == "directory":
         docs, skipped = _ingest_directory(path)
@@ -147,13 +148,13 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     return _corpus(docs, skipped, str(path), allow_empty)
 
 
-def ingest_lines(lines: Iterable[str], source: str, allow_empty: bool = False) -> Corpus:
+def ingest_lines(lines: Iterable[str], source: str) -> Corpus:
     """Load a jsonl corpus from its lines, e.g. an open stream, reading them once.
 
     ``source`` names the input in warnings and errors; records are skipped
     as in ``ingest``.
     """
-    return _corpus(*_ingest_jsonl(lines), source, allow_empty)
+    return _corpus(*_ingest_jsonl(lines), source, False)
 
 
 def _corpus(docs: list[Document], skipped: int, source: str, allow_empty: bool) -> Corpus:

@@ -258,6 +258,26 @@ def test_predict_stdin_needs_no_temporary_file(capsys, monkeypatch, knn_model):
     assert [line.split("\t")[1] for line in out.splitlines()] == [d.label for d in c]
 
 
+def test_predict_reads_the_same_records_from_file_and_stdin(tmp_path, knn_model):
+    # A real process, so stdin splits lines as the interpreter sets it up.
+    _, model_path, c = knn_model
+    records = [
+        json.dumps({"id": f"q{i}", "data_b64": base64.b64encode(c.documents[i].payload).decode()})
+        for i in range(4)
+    ]
+    # "\r\n" ends a record; a lone "\r" does not, so q1 and q2 form one malformed line.
+    data = (records[0] + "\r\n" + records[1] + "\r" + records[2] + "\n" + records[3] + "\n").encode()
+    path = tmp_path / "mixed.jsonl"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "isagram", "predict", "--model", str(model_path), "--input"]
+    from_file = subprocess.run(argv + [str(path)], capture_output=True)
+    from_stdin = subprocess.run(argv + ["-"], input=data, capture_output=True)
+    assert from_file.returncode == from_stdin.returncode == 0
+    assert from_file.stdout == from_stdin.stdout
+    assert [line.split(b"\t")[0] for line in from_file.stdout.splitlines()] == [b"q0", b"q3"]
+    assert b"skipped 1 malformed record(s) while ingesting <stdin>" in from_stdin.stderr
+
+
 def test_predict_empty_stdin_names_stdin(capsys, monkeypatch, knn_model):
     _, model_path, _ = knn_model
     monkeypatch.setattr("sys.stdin", io.StringIO("not json\n"))
