@@ -6,6 +6,13 @@ Gaussian naive Bayes (variance floor), k-nearest-neighbors, averaged
 multiclass perceptron, softmax regression by mini-batch gradient descent,
 and one-vs-rest linear SVM by stochastic subgradient descent.
 
+Every kind fits and scores on CSR rows at a cost that follows the stored
+values, never densifying a feature matrix: Gaussian NB treats each class's
+implicit zeros in closed form, the SGD kinds touch only the columns a row or
+batch stores and carry weight decay as a scalar scale (Pegasos for the SVM,
+Shalev-Shwartz et al. 2007; lazy L2 for softmax, Bottou 2010), and KNN
+multiplies only values that share a column.
+
 The two gradient-trained linear kinds carry no intercept term: decision
 values are then exactly equivariant under a common rescaling of the inputs
 (with the learning rate adjusted), which keeps them well-behaved on
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -73,6 +82,8 @@ def _validate_hyperparameters(kind: str, hp: dict) -> None:
         "alpha", "var_floor", "learning_rate", "l2", "lam",
     }
     for key, value in hp.items():
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{kind}: {key} must be a finite number, got {value!r}")
         if key in positive and not value > 0:
             raise ValueError(f"{kind}: {key} must be > 0, got {value}")
         if key in ("epochs", "batch_size", "k") and int(value) < 1:
@@ -110,21 +121,20 @@ def fit_vectors(
         raise CorpusError("training data must contain at least 2 labels")
     index = {label: i for i, label in enumerate(classes)}
     y = np.asarray([index[label] for label in labels], dtype=np.int64)
-    if spec.kind not in _SPARSE_KINDS:
-        X = X.toarray()
-    params = _FITTERS[spec.kind](spec, X, y, len(classes))
+    with np.errstate(all="ignore"):  # a diverged fit is reported just below
+        params = _FITTERS[spec.kind](spec, X, y, len(classes))
+    for name, value in params.items():
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise CorpusError(f"{spec.kind} fit diverged: {name} is not finite")
     return TrainedModel(schema=schema, spec=spec, labels=classes, parameters=params)
 
 
-# kinds whose arithmetic runs on CSR rows; the others get dense matrices
-_SPARSE_KINDS = ("mnb", "cnb")
-
-
-def _class_masses(X: CsrRows, y, n_classes):
-    """Per-class column sums: one bincount over (class, column) cells."""
+def _class_sums(X: CsrRows, y, n_classes, values):
+    """Per-class column sums of ``values``, one per stored value of ``X``:
+    one bincount over (class, column) cells."""
     dim = X.shape[1]
     cells = y[X.row_ids()] * dim + X.indices
-    return np.bincount(cells, weights=X.data, minlength=n_classes * dim).reshape(n_classes, dim)
+    return np.bincount(cells, weights=values, minlength=n_classes * dim).reshape(n_classes, dim)
 
 
 def _dot_t(X: CsrRows, W: np.ndarray) -> np.ndarray:
@@ -136,6 +146,12 @@ def _dot_t(X: CsrRows, W: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_slices(X: CsrRows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(columns, values) of each row, for the per-example SGD loops."""
+    bounds = X.indptr.tolist()
+    return [(X.indices[a:b], X.data[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def _require_nonnegative(X: CsrRows, kind):
     if X.data.size and X.data.min() < 0:
         raise ValueError(f"{kind} requires nonnegative feature values")
@@ -145,7 +161,7 @@ def _fit_mnb(spec, X, y, n_classes):
     _require_nonnegative(X, "mnb")
     alpha = float(spec.hyperparameters["alpha"])
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    F = _class_masses(X, y, n_classes) + alpha
+    F = _class_sums(X, y, n_classes, X.data) + alpha
     log_lik = np.log(F) - np.log(F.sum(axis=1, keepdims=True))
     return {"log_prior": np.log(counts / y.shape[0]), "log_likelihood": log_lik}
 
@@ -153,7 +169,7 @@ def _fit_mnb(spec, X, y, n_classes):
 def _fit_cnb(spec, X, y, n_classes):
     _require_nonnegative(X, "cnb")
     alpha = float(spec.hyperparameters["alpha"])
-    F = _class_masses(X, y, n_classes)
+    F = _class_sums(X, y, n_classes, X.data)
     comp = F.sum(axis=0, keepdims=True) - F + alpha
     # weight is the negated complement log-probability: a feature common in
     # the complement of a class argues against that class
@@ -163,15 +179,14 @@ def _fit_cnb(spec, X, y, n_classes):
 
 def _fit_gnb(spec, X, y, n_classes):
     floor = float(spec.hyperparameters["var_floor"])
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    mean = np.zeros((n_classes, X.shape[1]))
-    var = np.zeros_like(mean)
-    for c in range(n_classes):
-        Xc = X[y == c]
-        mean[c] = Xc.mean(axis=0)
-        var[c] = Xc.var(axis=0)
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)[:, None]
+    mean = _class_sums(X, y, n_classes, X.data) / counts
+    dev = X.data - mean[y[X.row_ids()], X.indices]
+    stored = _class_sums(X, y, n_classes, np.ones_like(X.data))
+    # each implicit zero of class c in column j deviates from the mean by -mean[c, j]
+    var = (_class_sums(X, y, n_classes, dev * dev) + (counts - stored) * mean * mean) / counts
     var = np.maximum(var, floor)
-    return {"log_prior": np.log(counts / y.shape[0]), "mean": mean, "var": var}
+    return {"log_prior": np.log(counts[:, 0] / y.shape[0]), "mean": mean, "var": var}
 
 
 def _fit_knn(spec, X, y, n_classes):
@@ -181,6 +196,7 @@ def _fit_knn(spec, X, y, n_classes):
 def _fit_perceptron(spec, X, y, n_classes):
     epochs = int(spec.hyperparameters["epochs"])
     n, d = X.shape
+    rows = _row_slices(X)
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
     Wa = np.zeros_like(W)
@@ -190,16 +206,16 @@ def _fit_perceptron(spec, X, y, n_classes):
         perm = list(range(n))
         SplitMix64(derive_seed(spec.seed, 10, epoch)).shuffle(perm)
         for i in perm:
-            x = X[i]
-            pred = int(np.argmax(W @ x + b))
+            cols, vals = rows[i]
+            pred = int(np.argmax(W[:, cols] @ vals + b))
             yi = int(y[i])
             if pred != yi:
-                W[yi] += x
-                W[pred] -= x
+                W[yi, cols] += vals
+                W[pred, cols] -= vals
                 b[yi] += 1.0
                 b[pred] -= 1.0
-                Wa[yi] += step * x
-                Wa[pred] -= step * x
+                Wa[yi, cols] += step * vals
+                Wa[pred, cols] -= step * vals
                 ba[yi] += step
                 ba[pred] -= step
             step += 1
@@ -213,21 +229,34 @@ def _fit_softmax_lr(spec, X, y, n_classes):
     l2 = float(hp["l2"])
     epochs, batch = int(hp["epochs"]), int(hp["batch_size"])
     n, d = X.shape
-    W = np.zeros((n_classes, d))
+    lengths = np.diff(X.indptr)
+    # W = s * V: the L2 decay of every weight is one multiply of s, and a
+    # batch's gradient touches only the columns its rows store
+    V = np.zeros((n_classes, d))
+    s = 1.0
     for epoch in range(epochs):
         perm = list(range(n))
         SplitMix64(derive_seed(spec.seed, 11, epoch)).shuffle(perm)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            Xb = X[idx]
-            logits = Xb @ W.T
+            size = lengths[idx]
+            ends = np.cumsum(size)
+            at = np.arange(ends[-1]) + np.repeat(X.indptr[idx] - (ends - size), size)
+            cols, inv = np.unique(X.indices[at], return_inverse=True)
+            Xb = np.zeros((len(idx), cols.size))
+            Xb[np.repeat(np.arange(len(idx)), size), inv] = X.data[at]
+            logits = s * (Xb @ V[:, cols].T)
             logits -= logits.max(axis=1, keepdims=True)
             P = np.exp(logits)
             P /= P.sum(axis=1, keepdims=True)
             P[np.arange(len(idx)), y[idx]] -= 1.0
             grad = P.T @ Xb * (1.0 / len(idx))
-            W -= lr * (grad + l2 * W)
-    return {"weights": W}
+            s *= 1.0 - lr * l2
+            if not 1e-9 < abs(s) < 1e9:  # fold s into V before it under- or overflows
+                V *= s
+                s = 1.0
+            V[:, cols] -= (lr / s) * grad
+    return {"weights": s * V}
 
 
 def _fit_linear_svm(spec, X, y, n_classes):
@@ -235,9 +264,12 @@ def _fit_linear_svm(spec, X, y, n_classes):
     lam = float(hp["lam"])
     epochs = int(hp["epochs"])
     n, d = X.shape
+    rows = _row_slices(X)
     W = np.zeros((n_classes, d))
     for c in range(n_classes):
-        w = np.zeros(d)
+        # Pegasos with w = s * v, so the decay of every weight is one multiply of s
+        v = np.zeros(d)
+        s = 1.0
         ybin = np.where(y == c, 1.0, -1.0)
         t = 0
         for epoch in range(epochs):
@@ -246,11 +278,14 @@ def _fit_linear_svm(spec, X, y, n_classes):
             for i in perm:
                 t += 1
                 eta = 1.0 / (lam * t)
-                margin = ybin[i] * (w @ X[i])
-                w *= 1.0 - eta * lam
+                cols, vals = rows[i]
+                margin = ybin[i] * s * (v[cols] @ vals)
+                # step 1 decays w = 0 by 1 - eta * lam = 0, which would zero s
+                if t > 1:
+                    s *= 1.0 - eta * lam
                 if margin < 1.0:
-                    w += (eta * ybin[i]) * X[i]
-        W[c] = w
+                    v[cols] += (eta * ybin[i] / s) * vals
+        W[c] = s * v
     return {"weights": W}
 
 
@@ -289,8 +324,10 @@ def predict_matrix(
     X = as_rows(X)
     if not np.isfinite(X.data).all():
         raise ValueError("feature matrix contains NaN or inf")
-    if model.spec.kind not in _SPARSE_KINDS:
-        X = X.toarray()
+    # every kind has one (labels or training rows) x features parameter
+    width = next(v.shape[1] for v in model.parameters.values() if len(v.shape) == 2)
+    if X.shape[1] != width:
+        raise ValueError(f"feature rows have {X.shape[1]} columns, the model takes {width}")
     scores = _SCORERS[model.spec.kind](model, X)
     winners = [model.labels[i] for i in np.argmax(scores, axis=1)]
     return winners, scores
@@ -314,47 +351,74 @@ def _score_cnb(model, X):
 def _score_gnb(model, X):
     p = model.parameters
     mean, var = p["mean"], p["var"]
-    const = -0.5 * np.log(2.0 * np.pi * var).sum(axis=1)
-    out = np.empty((X.shape[0], mean.shape[0]))
-    for c in range(mean.shape[0]):
-        diff = X - mean[c]
-        out[:, c] = p["log_prior"][c] + const[c] - 0.5 * (diff * diff / var[c]).sum(axis=1)
-    return out
+    # sum_j (x_j - mean_j)^2 / var_j is sum_j mean_j^2 / var_j, one constant
+    # per class, plus x_j * (x_j - 2 mean_j) / var_j over the stored x_j
+    const = p["log_prior"] - 0.5 * (np.log(2.0 * np.pi * var) + mean * mean / var).sum(axis=1)
+    squares = CsrRows(X.indptr, X.indices, X.data * X.data, X.shape)
+    return const[None, :] - 0.5 * _dot_t(squares, 1.0 / var) + _dot_t(X, mean / var)
+
+
+# (query value, training value) products that knn holds at once
+_KNN_BLOCK_PAIRS = 1 << 18
+
+
+def _squared_distances(X: CsrRows, T: CsrRows) -> np.ndarray:
+    """|x - t|^2 for every query row x and training row t."""
+    m, n = X.shape[0], T.shape[0]
+    xx = np.bincount(X.row_ids(), weights=X.data * X.data, minlength=m)
+    tt = np.bincount(T.row_ids(), weights=T.data * T.data, minlength=n)
+    # x . t sums over shared columns only: group the training values by
+    # column, so that each stored query value meets just its column's values
+    by_col = np.argsort(T.indices, kind="stable")
+    t_rows, t_vals = T.row_ids()[by_col], T.data[by_col]
+    col_start = np.zeros(T.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(T.indices, minlength=T.shape[1]), out=col_start[1:])
+    meets = col_start[X.indices + 1] - col_start[X.indices]
+    before_row = np.concatenate(([0], np.cumsum(meets)))[X.indptr]
+    x_rows = X.row_ids()
+    dots = np.empty((m, n))
+    lo = 0
+    while lo < m:  # blocks of whole query rows, at least one
+        hi = int(np.searchsorted(before_row, before_row[lo] + _KNN_BLOCK_PAIRS, side="right")) - 1
+        hi = min(max(hi, lo + 1), m)
+        a, b = X.indptr[lo], X.indptr[hi]
+        k = meets[a:b]
+        src = np.repeat(np.arange(a, b), k)
+        pos = np.arange(src.size) + np.repeat(col_start[X.indices[a:b]] - (np.cumsum(k) - k), k)
+        cells = (x_rows[src] - lo) * n + t_rows[pos]
+        products = X.data[src] * t_vals[pos]
+        dots[lo:hi] = np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
+        lo = hi
+    return xx[:, None] - 2.0 * dots + tt[None, :]
 
 
 def _score_knn(model, X):
     p = model.parameters
     T, ty = p["train_matrix"], p["train_label_idx"]
     k = min(int(model.spec.hyperparameters["k"]), T.shape[0])
-    n_classes = len(model.labels)
-    d2 = (
-        np.einsum("ij,ij->i", X, X)[:, None]
-        - 2.0 * (X @ T.T)
-        + np.einsum("ij,ij->i", T, T)[None, :]
-    )
-    dist = np.sqrt(np.maximum(d2, 0.0))
-    scores = np.empty((X.shape[0], n_classes))
-    for r in range(X.shape[0]):
-        near = np.argsort(dist[r], kind="stable")[:k]
-        for c in range(n_classes):
-            mask = ty[near] == c
-            votes = int(mask.sum())
-            if votes == 0:
-                scores[r, c] = -1.0
-            else:
-                mean_d = float(dist[r][near[mask]].mean())
-                # votes dominate; closer neighborhoods break vote ties
-                scores[r, c] = votes - mean_d / (1.0 + mean_d)
+    dist = np.sqrt(np.maximum(_squared_distances(X, T), 0.0))
+    # a stable sort puts the lower training index first among equal distances
+    near = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    near_dist = np.take_along_axis(dist, near, axis=1)
+    near_label = ty[near]
+    scores = np.full((X.shape[0], len(model.labels)), -1.0)  # no votes
+    for c in range(len(model.labels)):
+        mask = near_label == c
+        votes = mask.sum(axis=1)
+        voted = votes > 0
+        mean_d = np.where(mask, near_dist, 0.0).sum(axis=1)[voted] / votes[voted]
+        # votes dominate; closer neighborhoods break vote ties
+        scores[voted, c] = votes[voted] - mean_d / (1.0 + mean_d)
     return scores
 
 
 def _score_linear(model, X):
-    return X @ model.parameters["weights"].T
+    return _dot_t(X, model.parameters["weights"])
 
 
 def _score_perceptron(model, X):
     p = model.parameters
-    return X @ p["weights"].T + p["bias"][None, :]
+    return _dot_t(X, p["weights"]) + p["bias"][None, :]
 
 
 _SCORERS = {
@@ -421,6 +485,19 @@ def _schema_from_dict(data) -> Optional[vectorize.FeatureSchema]:
     )
 
 
+def _dense_lists(X: CsrRows) -> list[list[float]]:
+    """Rows as dense lists, as format 1.0 writes knn's training rows; every
+    zero is the same float object, so no dense array is built."""
+    bounds, cols, vals = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
+    rows = []
+    for a, b in zip(bounds, bounds[1:]):
+        row = [0.0] * X.shape[1]
+        for i in range(a, b):
+            row[cols[i]] = vals[i]
+        rows.append(row)
+    return rows
+
+
 def save_model(model: TrainedModel, path) -> None:
     """Write a self-describing JSON document plus a trailing sha256 line."""
     payload = {
@@ -430,7 +507,10 @@ def save_model(model: TrainedModel, path) -> None:
         "seed": model.spec.seed,
         "labels": list(model.labels),
         "schema": _schema_to_dict(model.schema),
-        "parameters": {k: v.tolist() for k, v in model.parameters.items()},
+        "parameters": {
+            k: _dense_lists(v) if isinstance(v, CsrRows) else v.tolist()
+            for k, v in model.parameters.items()
+        },
     }
     body = json.dumps(payload, sort_keys=True)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -440,8 +520,11 @@ def save_model(model: TrainedModel, path) -> None:
 
 def load_model(path) -> TrainedModel:
     """Verify the checksum, then the format version, then rebuild the model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
     body, _, tail = text.rstrip("\n").rpartition("\n")
     if not tail.startswith("sha256:"):
         raise ModelFormatError("missing checksum line; file truncated or corrupt")
@@ -450,25 +533,30 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError("checksum mismatch; file corrupt")
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+        version = str(payload.get("format_version", ""))
+    except (json.JSONDecodeError, AttributeError) as exc:
         raise ModelFormatError(f"unparsable model body: {exc}") from exc
-    version = str(payload.get("format_version", ""))
     if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise ModelFormatError(
             f"format version {version!r} incompatible with {FORMAT_VERSION}"
         )
-    spec = ClassifierSpec(
-        kind=payload["kind"],
-        hyperparameters=payload["hyperparameters"],
-        seed=int(payload["seed"]),
-    )
-    parameters = {
-        k: np.asarray(v, dtype=np.int64 if k in _INT_PARAMS else np.float64)
-        for k, v in payload["parameters"].items()
-    }
-    return TrainedModel(
-        schema=_schema_from_dict(payload["schema"]),
-        spec=spec,
-        labels=tuple(payload["labels"]),
-        parameters=parameters,
-    )
+    try:  # a checksum-valid body may still lack a field or hold a bad value
+        spec = ClassifierSpec(
+            kind=payload["kind"],
+            hyperparameters=payload["hyperparameters"],
+            seed=int(payload["seed"]),
+        )
+        parameters = {
+            k: np.asarray(v, dtype=np.int64 if k in _INT_PARAMS else np.float64)
+            for k, v in payload["parameters"].items()
+        }
+        if "train_matrix" in parameters:
+            parameters["train_matrix"] = CsrRows.from_dense(parameters["train_matrix"])
+        return TrainedModel(
+            schema=_schema_from_dict(payload["schema"]),
+            spec=spec,
+            labels=tuple(payload["labels"]),
+            parameters=parameters,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed model body: {exc!r}") from exc

@@ -131,8 +131,9 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     """Load a corpus from a jsonl file or a <root>/<label>/<file> tree.
 
     Malformed records (bad JSON, missing or undecodable payload, empty
-    payload) are skipped with a warning; only a corpus with zero valid
-    records is an error unless ``allow_empty`` is set.
+    payload, a label that is not a string or null) are skipped with a
+    warning; only a corpus with zero valid records is an error unless
+    ``allow_empty`` is set, and a file that is not UTF-8 text is one too.
     """
     path = Path(path)
     if not path.exists():
@@ -140,7 +141,7 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     if fmt == "jsonl":
         # records end at "\n" only, as on sys.stdin, so a file and stdin agree
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            docs, skipped = _ingest_jsonl(fh)
+            docs, skipped = _ingest_jsonl(fh, str(path))
     elif fmt == "directory":
         docs, skipped = _ingest_directory(path)
     else:
@@ -154,7 +155,7 @@ def ingest_lines(lines: Iterable[str], source: str) -> Corpus:
     ``source`` names the input in warnings and errors; records are skipped
     as in ``ingest``.
     """
-    return _corpus(*_ingest_jsonl(lines), source, False)
+    return _corpus(*_ingest_jsonl(lines, source), source, False)
 
 
 def _corpus(docs: list[Document], skipped: int, source: str, allow_empty: bool) -> Corpus:
@@ -165,25 +166,45 @@ def _corpus(docs: list[Document], skipped: int, source: str, allow_empty: bool) 
     return Corpus(docs)
 
 
-def _ingest_jsonl(lines: Iterable[str]) -> tuple[list[Document], int]:
+def _ingest_jsonl(lines: Iterable[str], source: str) -> tuple[list[Document], int]:
     docs, skipped = [], 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            payload = codec.decode(codec.BASE64, rec["data_b64"])
-        except (json.JSONDecodeError, KeyError, TypeError, codec.DecodeError) as exc:
-            log.warning("line %d: %s", lineno, exc)
-            skipped += 1
-            continue
-        if not payload:
-            log.warning("line %d: empty payload", lineno)
-            skipped += 1
-            continue
-        docs.append(Document(payload, rec.get("label"), str(rec.get("id", lineno))))
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                payload = codec.decode(codec.BASE64, rec["data_b64"])
+            except (json.JSONDecodeError, KeyError, TypeError, codec.DecodeError) as exc:
+                log.warning("line %d: %s", lineno, exc)
+                skipped += 1
+                continue
+            label, doc_id = rec.get("label"), str(rec.get("id", lineno))
+            problem = _record_problem(payload, label, doc_id)
+            if problem:
+                log.warning("line %d: %s", lineno, problem)
+                skipped += 1
+                continue
+            docs.append(Document(payload, label, doc_id))
+    except UnicodeDecodeError as exc:  # raised while reading the next line
+        raise CorpusError(f"{source} is not UTF-8 text: {exc}") from exc
     return docs, skipped
+
+
+def _record_problem(payload: bytes, label, doc_id: str) -> Optional[str]:
+    """Why a decoded jsonl record cannot be a document, or None."""
+    if not payload:
+        return "empty payload"
+    if label is not None and not isinstance(label, str):
+        return f"label must be a string or null, got {type(label).__name__}"
+    try:  # a JSON string may hold lone surrogates, which no output can print
+        doc_id.encode("utf-8")
+        if label:
+            label.encode("utf-8")
+    except UnicodeEncodeError:
+        return "label or id is not valid Unicode"
+    return None
 
 
 def _ingest_directory(path: Path) -> tuple[list[Document], int]:

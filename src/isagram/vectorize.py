@@ -349,8 +349,13 @@ def export_features(rows: CsrRows, corpus: Corpus, path) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         header = ["id", "label"] + [f"f{i}" for i in range(rows.shape[1])]
         fh.write(",".join(header) + "\n")
-        for d, row in zip(corpus, rows.toarray()):
-            cells = [d.id, d.label if d.label is not None else ""]
-            cells.extend(repr(v) for v in row.tolist())
-            fh.write(",".join(cells) + "\n")
+        bounds = rows.indptr.tolist()
+        for r, d in enumerate(corpus):
+            # one row at a time, straight from its stored values
+            cells = ["0.0"] * rows.shape[1]
+            for j, v in zip(rows.indices[bounds[r] : bounds[r + 1]].tolist(),
+                            rows.data[bounds[r] : bounds[r + 1]].tolist()):
+                cells[j] = repr(v)
+            label = d.label if d.label is not None else ""
+            fh.write(",".join([d.id, label, *cells]) + "\n")
     return len(corpus)

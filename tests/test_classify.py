@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import oracle_classify as oracle
 import pytest
 
 from isagram import classify, corpus, vectorize
@@ -18,6 +19,7 @@ from isagram.classify import (
 )
 from isagram.corpus import Corpus, Document
 from isagram.evaluate import FeatureConfig, fit_model
+from isagram.sparse import CsrRows
 
 
 def cloud_3class(n_per_class=60, seed=0):
@@ -29,6 +31,17 @@ def cloud_3class(n_per_class=60, seed=0):
     )
     labels = [f"c{i}" for i in range(3) for _ in range(n_per_class)]
     return X, labels
+
+
+def same_parameter(a, b) -> bool:
+    """Equal parameter arrays; knn's CSR training rows compare by their arrays."""
+    if isinstance(a, CsrRows) or isinstance(b, CsrRows):
+        return (
+            isinstance(a, CsrRows) and isinstance(b, CsrRows) and a.shape == b.shape
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("indptr", "indices", "data"))
+        )
+    return np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +126,14 @@ def test_knn_vote_tie_breaks_by_mean_distance():
     assert scores[1] == pytest.approx(1.0 - 1.5 / 2.5, abs=1e-12)
 
 
+def test_knn_empty_training_row_is_at_the_query_norm():
+    X = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 4.0, 1.0]])
+    model = fit_vectors(ClassifierSpec("knn", {"k": 4}), X, ["A", "B", "A", "C"])
+    Q = np.array([[0.5, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 0.0]])
+    want = oracle.score_knn(oracle.fit_knn({}, X, model.parameters["train_label_idx"], 3), Q, 4, 3)
+    assert np.allclose(predict_matrix(model, Q)[1], want, rtol=0, atol=1e-12)
+
+
 def test_knn_k_clamped_to_train_size():
     X = np.array([[0.0], [0.1], [5.0]])
     model = fit_vectors(ClassifierSpec("knn", {"k": 50}), X, ["A", "A", "B"])
@@ -155,7 +176,7 @@ def test_fit_is_deterministic(kind):
     m2 = fit_vectors(ClassifierSpec(kind, seed=9), X, labels)
     assert set(m1.parameters) == set(m2.parameters)
     for key, value in m1.parameters.items():
-        assert np.array_equal(value, m2.parameters[key])
+        assert same_parameter(value, m2.parameters[key])
 
 
 def test_seed_changes_sgd_trajectories():
@@ -244,10 +265,69 @@ def test_fit_input_validation():
         classify.predict(model, Document(b"\x01", None, "q"))  # no schema stored
 
 
+@pytest.mark.parametrize("kind", classify.KINDS)
+def test_predict_rejects_rows_of_another_width(kind):
+    X, labels = cloud_3class(n_per_class=5)
+    model = fit_vectors(ClassifierSpec(kind), X, labels)
+    for width in (2, 4):
+        with pytest.raises(ValueError, match="columns"):
+            predict_matrix(model, np.ones((1, width)))
+
+
 def test_fit_rejects_unlabeled_corpus():
     docs = Corpus([Document(b"\x01\x02", "a", "1"), Document(b"\x03\x04", None, "2")])
     with pytest.raises(ValueError):
         fit_model(FeatureConfig("hist_endian_byte"), ClassifierSpec("mnb"), docs)
+
+
+# ---------------------------------------------------------------------------
+# CSR kinds against the dense oracle
+# ---------------------------------------------------------------------------
+
+def assert_close(got, want, what):
+    """Equal to 1e-12 of the largest magnitude in ``want``."""
+    assert got.shape == want.shape, what
+    scale = float(np.abs(want).max()) if want.size else 0.0
+    assert float(np.abs(got - want).max(initial=0.0)) <= 1e-12 * scale, what
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(name, seed, train rows, their labels, held-out rows) on 12-byte
+    documents, where decisions vary from document to document."""
+    specs = corpus.default_isa_specs(12)
+    cases = []
+    for seed in (1, 2):
+        train = corpus.generate_synthetic(specs, 10, 12, seed)
+        held = corpus.generate_synthetic(specs, 5, 12, seed + 100)
+        for config in (FeatureConfig("tfidf_byte"), FeatureConfig("tfidf_char", classify.codec.BASE16)):
+            schema, rows = config.fit_transform(train)
+            queries = vectorize.transform_rows(schema, held.documents)
+            cases.append((f"seed {seed} {config.describe()}", seed, rows, [d.label for d in train], queries))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ("gnb", "knn", "perceptron", "softmax_lr", "linear_svm"))
+def test_csr_kinds_match_dense_oracle(kind, oracle_cases):
+    hp = {"epochs": 3} if "epochs" in classify.DEFAULT_HYPERPARAMETERS[kind] else {}
+    for name, seed, rows, labels, queries in oracle_cases:
+        what = f"{kind} {name}"
+        spec = ClassifierSpec(kind, hp, seed=seed)
+        model = fit_vectors(spec, rows, labels)
+        y = np.asarray([model.labels.index(label) for label in labels])
+        n_classes = len(model.labels)
+        want = oracle.fit(kind, spec.hyperparameters, rows.toarray(), y, n_classes, seed)
+        assert sorted(model.parameters) == sorted(want), what
+        for param, value in want.items():
+            got = model.parameters[param]
+            got = got.toarray() if isinstance(got, CsrRows) else got
+            assert_close(got, value, f"{what} {param}")
+        got_labels, got_scores = predict_matrix(model, queries)
+        want_scores = oracle.score(kind, spec.hyperparameters, want, queries.toarray(), n_classes)
+        want_labels = [model.labels[i] for i in np.argmax(want_scores, axis=1)]
+        assert got_labels == want_labels, what
+        assert len(set(want_labels)) > 1, what
+        assert_close(got_scores, want_scores, f"{what} scores")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +370,7 @@ def test_corpus_and_dense_matrix_paths_bit_identical(kind):
     assert via_corpus.labels == via_matrix.labels
     assert sorted(via_corpus.parameters) == sorted(via_matrix.parameters)
     for name, value in via_corpus.parameters.items():
-        assert np.array_equal(value, via_matrix.parameters[name]), name
+        assert same_parameter(value, via_matrix.parameters[name]), name
     corpus_labels, corpus_scores = predict_corpus(via_corpus, held)
     matrix_labels, matrix_scores = predict_matrix(
         via_corpus, vectorize.transform_rows(schema, held.documents).toarray()
@@ -385,4 +465,33 @@ def test_checksum_is_verified_before_version(tmp_path):
     payload["format_version"] = "9.0"
     path.write_text(json.dumps(payload, sort_keys=True) + "\nsha256:" + "0" * 64 + "\n")
     with pytest.raises(ModelFormatError, match="checksum"):
+        load_model(path)
+
+
+def test_load_rejects_nonfinite_hyperparameter(tmp_path):
+    # such files were written by `train --alpha inf` before hyperparameters
+    # had to be finite
+    path = fitted_model_file(tmp_path)
+    rewrite_with_valid_checksum(path, lambda p: p["hyperparameters"].update(alpha=math.inf))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ModelFormatError, match="finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda p: p.pop("kind"), lambda p: p.update(parameters=[1]), lambda p: p.update(labels=None)],
+    ids=["no-kind", "parameters-not-a-map", "labels-null"],
+)
+def test_load_rejects_malformed_body(tmp_path, mutate):
+    path = fitted_model_file(tmp_path)
+    rewrite_with_valid_checksum(path, mutate)
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
+def test_load_rejects_non_utf8_file(tmp_path):
+    path = fitted_model_file(tmp_path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    with pytest.raises(ModelFormatError, match="UTF-8"):
         load_model(path)

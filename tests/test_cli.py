@@ -1,12 +1,16 @@
 import base64
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import types
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from isagram import classify, codec, corpus, vectorize
 from isagram.cli import main
@@ -175,6 +179,82 @@ def test_train_on_unusable_corpus_is_data_error(capsys, tmp_path, labels):
     )
     assert rc == 2
     assert err.startswith("data error:")
+
+
+@pytest.mark.parametrize(
+    "model, flag, value, code",
+    [
+        ("mnb", "--alpha", "inf", 1),
+        ("mnb", "--alpha", "nan", 1),
+        ("lr", "--learning-rate", "inf", 1),
+        ("mnb", "--alpha", "1e308", 2),  # finite, but the fitted weights are not
+        ("lr", "--learning-rate", "1e308", 2),
+    ],
+)
+def test_train_nonfinite_hyperparameter_or_fit_is_refused(capsys, tmp_path, model, flag, value, code):
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=4)
+    out = tmp_path / "m.model"
+    rc, stdout, err = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", model, flag, value, "--out", str(out),
+    )
+    assert rc == code
+    assert err.startswith("usage error:" if code == 1 else "data error:")
+    assert stdout == "" and not out.exists()
+
+
+BAD_LABELS = [3, ["a"], {"x": "a"}, True, 1.5, "\ud800"]
+
+
+def test_train_skips_records_whose_label_is_not_a_string(capsys, tmp_path, caplog):
+    good = [(label, bytes([i + 1]) * 8) for i, label in enumerate("abab")]
+    bad = [(label, b"\x09" * 8) for label in BAD_LABELS]
+    corpus_path = write_records(tmp_path / "c.jsonl", good + bad)
+    rc, out, _ = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", "cnb", "--out", str(tmp_path / "m.model"),
+    )
+    assert rc == 0
+    assert out.splitlines()[1:] == ["documents 4", "class a 2", "class b 2"]
+    assert f"skipped {len(BAD_LABELS)} malformed record(s)" in caplog.text
+    assert "label must be a string or null, got list" in caplog.text
+
+
+def test_predict_stdin_skips_records_whose_label_is_not_a_string(
+    capsys, monkeypatch, caplog, knn_model
+):
+    _, model_path, c = knn_model
+    lines = [
+        json.dumps({"id": f"q{i}", "label": label, "data_b64": base64.b64encode(c.documents[i].payload).decode()})
+        for i, label in enumerate([None, "x", *BAD_LABELS])
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    rc, out, _ = run(capsys, "predict", "--model", str(model_path), "--input", "-")
+    assert rc == 0
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["q0", "q1"]
+    assert f"skipped {len(BAD_LABELS)} malformed record(s) while ingesting <stdin>" in caplog.text
+
+
+NOT_UTF8 = b'{"id": "a", "label": "a", "data_b64": "AQI="}\n\xff\xfe{}\n'
+
+
+def test_train_on_non_utf8_corpus_is_data_error(capsys, tmp_path):
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_bytes(NOT_UTF8)
+    rc, _, err = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", "cnb", "--out", str(tmp_path / "m.model"),
+    )
+    assert rc == 2
+    assert err.startswith("data error:") and "not UTF-8" in err
+
+
+def test_predict_non_utf8_stdin_is_data_error(capsys, monkeypatch, knn_model):
+    _, model_path, _ = knn_model
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    rc, _, err = run(capsys, "predict", "--model", str(model_path), "--input", "-")
+    assert rc == 2
+    assert err.startswith("data error: <stdin> is not UTF-8")
 
 
 @pytest.mark.parametrize("command", ["train", "featurize"])
@@ -485,6 +565,79 @@ def test_featurize_inline_encoding(capsys, tmp_path):
     assert rc == 0
     header = out_csv.read_text().splitlines()[0]
     assert header.split(",")[-1] == "f35"  # 32 + 4 features
+
+
+# ---------------------------------------------------------------------------
+# arbitrary input ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["a", "b", "\ud800", ""])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+B64 = st.binary(max_size=10).map(lambda b: base64.b64encode(b).decode())
+RECORDS = st.fixed_dictionaries(
+    {}, optional={"id": JSON_VALUES, "label": JSON_VALUES, "data_b64": B64 | JSON_VALUES}
+)
+PAYLOAD_RECORDS = st.fixed_dictionaries({  # lone surrogates are valid JSON, not printable
+    "id": st.text(max_size=4) | st.just("\udc80"),
+    "label": st.sampled_from(["a", "b", "\ud800"]),
+    "data_b64": st.binary(min_size=1, max_size=10).map(lambda b: base64.b64encode(b).decode()),
+})
+TWO_CLASSES = [  # prepended to some corpora, so that training often succeeds
+    json.dumps({"id": f"g{i}", "label": "ab"[i], "data_b64": "AAEC"}).encode() for i in range(2)
+]
+LINES = st.one_of(
+    *(s.map(json.dumps).map(str.encode) for s in (PAYLOAD_RECORDS, RECORDS, JSON_VALUES)),
+    st.binary(max_size=16),
+)
+FLAGS = st.one_of(
+    st.tuples(st.just("mnb"), st.just("--alpha"), st.floats(1e-3, 10.0) | st.floats()),
+    st.tuples(st.just("lr"), st.just("--learning-rate"), st.floats(1e-3, 10.0) | st.floats()),
+    st.tuples(st.just("knn"), st.just("--k"), st.integers(1, 5) | st.integers()),
+)
+
+
+def run_quietly(argv, stdin=b""):
+    # UTF-8 streams as in a process: stdout strict, stderr backslashreplace
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace",
+                           write_through=True)
+    old_stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", newline="\n")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return rc, err.buffer.getvalue().decode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(LINES, max_size=8), two_classes=st.booleans(), flags=FLAGS)
+def test_arbitrary_jsonl_and_flag_values_exit_0_1_or_2(lines, two_classes, flags):
+    data = b"\n".join(TWO_CLASSES * two_classes + lines) + b"\n"
+    model, flag, value = flags
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path = os.path.join(tmp, "c.jsonl")
+        model_path = os.path.join(tmp, "m.model")
+        with open(corpus_path, "wb") as fh:
+            fh.write(data)
+        rc, err = run_quietly([
+            "train", "--corpus", corpus_path, "--features", "hist-byte",
+            "--model", model, flag, repr(value), "--out", model_path,
+        ])
+        assert rc in (0, 1, 2) and "Traceback" not in err, err
+        event(f"train exits {rc}")
+        if rc == 0:
+            rc, err = run_quietly(["predict", "--model", model_path, "--input", "-"], data)
+            assert rc in (0, 2) and "Traceback" not in err, err
+            event(f"predict exits {rc}")
 
 
 # ---------------------------------------------------------------------------

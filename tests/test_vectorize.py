@@ -1,6 +1,9 @@
 import csv
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -435,3 +438,26 @@ def test_export_features_empty_corpus(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("id,label,f0,") and lines[0].endswith(f",f{259}")
+
+
+def test_export_features_memory_stays_near_one_row(tmp_path):
+    # 300 tfidf-byte rows of 70 792 float64 cells are 170 MB when dense; the
+    # export may hold about one row at a time, so peak RSS grows a few MB
+    script = """
+import resource, sys
+from isagram import corpus, vectorize
+c = corpus.generate_synthetic(corpus.default_isa_specs(12), 25, 66, 3)
+_, rows = vectorize.FeatureConfig("tfidf_byte").fit_transform(c)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+vectorize.export_features(rows, c, sys.argv[1])
+print(rows.shape[1], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = os.path.dirname(os.path.dirname(vectorize.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "f.csv")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    width, growth_kib = int(out[0]), int(out[1])
+    one_row_kib = width * 8 / 1024
+    assert growth_kib < 40 * one_row_kib  # 300 rows at once would be 300
