@@ -161,20 +161,27 @@ def _fit_mnb(spec, X, y, n_classes):
     _require_nonnegative(X, "mnb")
     alpha = float(spec.hyperparameters["alpha"])
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    F = _class_sums(X, y, n_classes, X.data) + alpha
-    log_lik = np.log(F) - np.log(F.sum(axis=1, keepdims=True))
-    return {"log_prior": np.log(counts / y.shape[0]), "log_likelihood": log_lik}
+    # in place: a class x feature array is 0.57 MB per class on tfidf-byte
+    F = _class_sums(X, y, n_classes, X.data)
+    F += alpha
+    log_total = np.log(F.sum(axis=1, keepdims=True))
+    np.log(F, out=F)
+    F -= log_total
+    return {"log_prior": np.log(counts / y.shape[0]), "log_likelihood": F}
 
 
 def _fit_cnb(spec, X, y, n_classes):
     _require_nonnegative(X, "cnb")
     alpha = float(spec.hyperparameters["alpha"])
     F = _class_sums(X, y, n_classes, X.data)
-    comp = F.sum(axis=0, keepdims=True) - F + alpha
+    comp = F.sum(axis=0, keepdims=True) - F
+    del F  # in place from here on, as in mnb
+    comp += alpha
     # weight is the negated complement log-probability: a feature common in
     # the complement of a class argues against that class
-    feature_log_prob = np.log(comp.sum(axis=1, keepdims=True)) - np.log(comp)
-    return {"feature_log_prob": feature_log_prob}
+    log_total = np.log(comp.sum(axis=1, keepdims=True))
+    np.log(comp, out=comp)
+    return {"feature_log_prob": np.subtract(log_total, comp, out=comp)}
 
 
 def _fit_gnb(spec, X, y, n_classes):
