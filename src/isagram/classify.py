@@ -82,7 +82,10 @@ def _validate_hyperparameters(kind: str, hp: dict) -> None:
         "alpha", "var_floor", "learning_rate", "l2", "lam",
     }
     for key, value in hp.items():
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        # Python ints are unbounded and always finite; isfinite would overflow on a huge one
+        if not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or math.isfinite(value)
+        ):
             raise ValueError(f"{kind}: {key} must be a finite number, got {value!r}")
         if key in positive and not value > 0:
             raise ValueError(f"{kind}: {key} must be > 0, got {value}")
@@ -367,6 +370,20 @@ def _score_gnb(model, X):
 
 # (query value, training value) products that knn holds at once
 _KNN_BLOCK_PAIRS = 1 << 18
+# a column costs m * n multiply-adds in a dense product, and one scattered
+# product per (query value, training value) pair it holds otherwise; the
+# scattered product costs about this many BLAS multiply-adds
+_KNN_PAIR_COST = 256
+# dense columns multiplied at once
+_KNN_DENSE_COLS = 256
+
+
+def _dense_columns(X: CsrRows, at: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Dense rows of X over the columns that ``at`` places in [lo, hi)."""
+    keep = (at >= lo) & (at < hi)
+    out = np.zeros((X.shape[0], hi - lo))
+    out[X.row_ids()[keep], at[keep] - lo] = X.data[keep]
+    return out
 
 
 def _squared_distances(X: CsrRows, T: CsrRows) -> np.ndarray:
@@ -374,16 +391,27 @@ def _squared_distances(X: CsrRows, T: CsrRows) -> np.ndarray:
     m, n = X.shape[0], T.shape[0]
     xx = np.bincount(X.row_ids(), weights=X.data * X.data, minlength=m)
     tt = np.bincount(T.row_ids(), weights=T.data * T.data, minlength=n)
-    # x . t sums over shared columns only: group the training values by
-    # column, so that each stored query value meets just its column's values
+    # x . t sums over shared columns only.  Columns that many query and
+    # training rows store go through one dense product; for the rest, group
+    # the training values by column, so that each stored query value meets
+    # just its column's values.
+    t_count = np.bincount(T.indices, minlength=T.shape[1])
+    pairs = np.bincount(X.indices, minlength=X.shape[1]) * t_count
+    dense = np.flatnonzero(pairs * _KNN_PAIR_COST > m * n)
+    place = np.full(X.shape[1], -1)
+    place[dense] = np.arange(dense.size)
+    x_at, t_at = place[X.indices], place[T.indices]
+    dots = np.zeros((m, n))
+    for lo in range(0, dense.size, _KNN_DENSE_COLS):
+        hi = min(lo + _KNN_DENSE_COLS, dense.size)
+        dots += _dense_columns(X, x_at, lo, hi) @ _dense_columns(T, t_at, lo, hi).T
     by_col = np.argsort(T.indices, kind="stable")
     t_rows, t_vals = T.row_ids()[by_col], T.data[by_col]
     col_start = np.zeros(T.shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(T.indices, minlength=T.shape[1]), out=col_start[1:])
-    meets = col_start[X.indices + 1] - col_start[X.indices]
+    np.cumsum(t_count, out=col_start[1:])
+    meets = np.where(x_at < 0, t_count[X.indices], 0)
     before_row = np.concatenate(([0], np.cumsum(meets)))[X.indptr]
     x_rows = X.row_ids()
-    dots = np.empty((m, n))
     lo = 0
     while lo < m:  # blocks of whole query rows, at least one
         hi = int(np.searchsorted(before_row, before_row[lo] + _KNN_BLOCK_PAIRS, side="right")) - 1
@@ -394,7 +422,7 @@ def _squared_distances(X: CsrRows, T: CsrRows) -> np.ndarray:
         pos = np.arange(src.size) + np.repeat(col_start[X.indices[a:b]] - (np.cumsum(k) - k), k)
         cells = (x_rows[src] - lo) * n + t_rows[pos]
         products = X.data[src] * t_vals[pos]
-        dots[lo:hi] = np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
+        dots[lo:hi] += np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
         lo = hi
     return xx[:, None] - 2.0 * dots + tt[None, :]
 
@@ -492,19 +520,6 @@ def _schema_from_dict(data) -> Optional[vectorize.FeatureSchema]:
     )
 
 
-def _dense_lists(X: CsrRows) -> list[list[float]]:
-    """Rows as dense lists, as format 1.0 writes knn's training rows; every
-    zero is the same float object, so no dense array is built."""
-    bounds, cols, vals = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
-    rows = []
-    for a, b in zip(bounds, bounds[1:]):
-        row = [0.0] * X.shape[1]
-        for i in range(a, b):
-            row[cols[i]] = vals[i]
-        rows.append(row)
-    return rows
-
-
 def save_model(model: TrainedModel, path) -> None:
     """Write a self-describing JSON document plus a trailing sha256 line."""
     payload = {
@@ -515,7 +530,8 @@ def save_model(model: TrainedModel, path) -> None:
         "labels": list(model.labels),
         "schema": _schema_to_dict(model.schema),
         "parameters": {
-            k: _dense_lists(v) if isinstance(v, CsrRows) else v.tolist()
+            # format 1.0 stores knn's training rows as dense lists
+            k: v.toarray().tolist() if isinstance(v, CsrRows) else v.tolist()
             for k, v in model.parameters.items()
         },
     }
@@ -565,5 +581,5 @@ def load_model(path) -> TrainedModel:
             labels=tuple(payload["labels"]),
             parameters=parameters,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model body: {exc!r}") from exc

@@ -330,6 +330,58 @@ def test_csr_kinds_match_dense_oracle(kind, oracle_cases):
         assert_close(got_scores, want_scores, f"{what} scores")
 
 
+@pytest.fixture(scope="module")
+def long_hist_case():
+    """hist_endian_byte rows of 2 KB documents: nearly every column stored."""
+    specs = corpus.default_isa_specs(12)
+    train = corpus.generate_synthetic(specs, 8, 2048, 3)
+    held = corpus.generate_synthetic(specs, 3, 2048, 103)
+    schema, rows = FeatureConfig("hist_endian_byte").fit_transform(train)
+    return rows, [d.label for d in train], vectorize.transform_rows(schema, held.documents)
+
+
+def dense_column_count(monkeypatch, queries, rows):
+    """Columns that knn's distances take through the dense product."""
+    seen = []
+    real = classify._dense_columns
+
+    def spy(X, at, lo, hi):
+        seen.append(hi - lo)
+        return real(X, at, lo, hi)
+
+    monkeypatch.setattr(classify, "_dense_columns", spy)
+    classify._squared_distances(queries, rows)
+    monkeypatch.undo()
+    return sum(seen) // 2  # one call for the query rows, one for the training rows
+
+
+@pytest.mark.parametrize("pair_cost", (0, classify._KNN_PAIR_COST, 10**9))
+def test_knn_dense_and_scattered_columns_match_oracle(monkeypatch, pair_cost, oracle_cases, long_hist_case):
+    """Pair cost 0 scatters every column, 10**9 multiplies every stored column densely."""
+    monkeypatch.setattr(classify, "_KNN_PAIR_COST", pair_cost)
+    cases = [(name, rows, labels, queries) for name, _, rows, labels, queries in oracle_cases]
+    cases.append(("2 KB hist_endian_byte",) + long_hist_case)
+    for name, rows, labels, queries in cases:
+        model = fit_vectors(ClassifierSpec("knn"), rows, labels)
+        want = oracle.score_knn(
+            oracle.fit_knn({}, rows.toarray(), model.parameters["train_label_idx"], 12),
+            queries.toarray(), 3, len(model.labels),
+        )
+        got_labels, got_scores = predict_matrix(model, queries)
+        assert got_labels == [model.labels[i] for i in np.argmax(want, axis=1)], name
+        assert_close(got_scores, want, name)
+
+
+def test_knn_multiplies_only_common_columns_densely(monkeypatch, oracle_cases, long_hist_case):
+    rows, _, queries = long_hist_case
+    stored = np.intersect1d(rows.indices, queries.indices).size
+    assert dense_column_count(monkeypatch, queries, rows) >= 0.9 * stored
+    for name, _, rows, _, queries in oracle_cases:
+        if "tfidf-byte" in name:  # of 70 792 columns, about 400 are shared and 20 common
+            shared = np.intersect1d(rows.indices, queries.indices).size
+            assert dense_column_count(monkeypatch, queries, rows) <= 0.1 * shared, name
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

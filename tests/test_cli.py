@@ -203,6 +203,20 @@ def test_train_nonfinite_hyperparameter_or_fit_is_refused(capsys, tmp_path, mode
     assert stdout == "" and not out.exists()
 
 
+def test_train_and_predict_with_a_huge_integer_k(capsys, tmp_path):
+    """A k beyond float range is finite; it is clamped to the training size."""
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=4)
+    out = tmp_path / "m.model"
+    rc, _, err = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", "knn", "--k", "1" + "0" * 400, "--out", str(out),
+    )
+    assert (rc, err) == (0, "")
+    rc, stdout, err = run(capsys, "predict", "--model", str(out), "--input", str(corpus_path))
+    assert (rc, err) == (0, "")
+    assert len(stdout.splitlines()) == 16
+
+
 BAD_LABELS = [3, ["a"], {"x": "a"}, True, 1.5, "\ud800"]
 
 
@@ -599,7 +613,9 @@ LINES = st.one_of(
 FLAGS = st.one_of(
     st.tuples(st.just("mnb"), st.just("--alpha"), st.floats(1e-3, 10.0) | st.floats()),
     st.tuples(st.just("lr"), st.just("--learning-rate"), st.floats(1e-3, 10.0) | st.floats()),
-    st.tuples(st.just("knn"), st.just("--k"), st.integers(1, 5) | st.integers()),
+    st.tuples(  # a Python int may lie beyond float range
+        st.just("knn"), st.just("--k"), st.integers(1, 5) | st.integers() | st.just(10**400)
+    ),
 )
 
 
