@@ -11,7 +11,8 @@ values, never densifying a feature matrix: Gaussian NB treats each class's
 implicit zeros in closed form, the SGD kinds touch only the columns a row or
 batch stores and carry weight decay as a scalar scale (Pegasos for the SVM,
 Shalev-Shwartz et al. 2007; lazy L2 for softmax, Bottou 2010), and KNN
-multiplies only values that share a column.
+multiplies only values that share a column, taking the columns that many
+rows store through one dense product.
 
 The two gradient-trained linear kinds carry no intercept term: decision
 values are then exactly equivariant under a common rescaling of the inputs
