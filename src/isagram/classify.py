@@ -27,6 +27,7 @@ decision values for the linear kinds.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -41,7 +42,7 @@ from .corpus import Corpus, CorpusError, Document
 from .rng import SplitMix64, derive_seed
 from .sparse import CsrRows, as_rows
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "2.0"
 
 KINDS = ("mnb", "cnb", "gnb", "knn", "perceptron", "softmax_lr", "linear_svm")
 
@@ -474,6 +475,72 @@ _SCORERS = {
 
 _INT_PARAMS = {"train_label_idx"}
 
+# each kind's parameters and their axes: L labels, D features, N training rows
+_PARAMETER_AXES = {
+    "mnb": {"log_prior": "L", "log_likelihood": "LD"},
+    "cnb": {"feature_log_prob": "LD"},
+    "gnb": {"log_prior": "L", "mean": "LD", "var": "LD"},
+    "knn": {"train_matrix": "ND", "train_label_idx": "N"},
+    "perceptron": {"weights": "LD", "bias": "L"},
+    "softmax_lr": {"weights": "LD"},
+    "linear_svm": {"weights": "LD"},
+}
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    """An int64 or float64 array as base64 of its little-endian bytes, with its shape."""
+    dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
+    raw = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"base64": base64.b64encode(raw).decode("ascii"), "dtype": dtype, "shape": list(a.shape)}
+
+
+def _encode_parameter(value) -> dict:
+    if isinstance(value, CsrRows):  # knn's training rows, stored as they are held
+        arrays = {f: _encode_array(getattr(value, f)) for f in ("indptr", "indices", "data")}
+        return {"shape": list(value.shape), **arrays}
+    return _encode_array(value)
+
+
+def _decode_shape(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(n) is int and n >= 0 for n in value):
+        raise ValueError(f"shape must be a list of nonnegative integers, got {value!r}")
+    return tuple(value)
+
+
+def _decode_array(record, dtype: str) -> np.ndarray:
+    """Inverse of ``_encode_array``: a read-only view of the decoded bytes."""
+    if record["dtype"] != dtype:
+        raise ValueError(f"expected a {dtype} array, got {record['dtype']!r}")
+    shape = _decode_shape(record["shape"])
+    # frombuffer and reshape raise ValueError unless the bytes fill the shape exactly
+    a = np.frombuffer(base64.b64decode(record["base64"], validate=True), dtype=dtype).reshape(shape)
+    if dtype == "<f8" and not np.isfinite(a).all():
+        raise ValueError("array holds NaN or inf")
+    return a
+
+
+def _decode_csr(record) -> CsrRows:
+    indptr, indices = (_decode_array(record[f], "<i8") for f in ("indptr", "indices"))
+    rows, cols = _decode_shape(record["shape"])
+    return CsrRows(indptr, indices, _decode_array(record["data"], "<f8"), (rows, cols)).check()
+
+
+def _check_parameters(kind: str, labels: tuple, schema, parameters: dict) -> None:
+    """ValueError unless ``parameters`` are the arrays ``kind`` scores with."""
+    axes = _PARAMETER_AXES[kind]
+    if set(parameters) != set(axes):
+        raise ValueError(f"{kind} parameters must be {sorted(axes)}, got {sorted(parameters)}")
+    sizes = {"L": len(labels)}
+    if schema is not None:
+        sizes["D"] = schema.dimension
+    for name, letters in axes.items():
+        shape = parameters[name].shape
+        if len(shape) != len(letters) or any(sizes.setdefault(a, n) != n for a, n in zip(letters, shape)):
+            raise ValueError(f"{name} of shape {shape} does not fit the other arrays")
+    idx = parameters.get("train_label_idx")
+    if idx is not None and idx.size and not (idx.min() >= 0 and idx.max() < len(labels)):
+        raise ValueError("train_label_idx out of range")
+
 
 def _schema_to_dict(schema: Optional[vectorize.FeatureSchema]):
     if schema is None:
@@ -490,14 +557,14 @@ def _schema_to_dict(schema: Optional[vectorize.FeatureSchema]):
             "alphabet": v.alphabet,
             "fit_corpus_size": v.fit_corpus_size,
             "grams3": v.gram3_terms(),
-            "idf1": v.idf1.tolist(),
-            "idf2": v.idf2.tolist(),
-            "idf3": v.idf3.tolist(),
+            "idf1": _encode_array(v.idf1),
+            "idf2": _encode_array(v.idf2),
+            "idf3": _encode_array(v.idf3),
         }
     return out
 
 
-def _schema_from_dict(data) -> Optional[vectorize.FeatureSchema]:
+def _schema_from_dict(data, read_array) -> Optional[vectorize.FeatureSchema]:
     if data is None:
         return None
     encoding = codec.get_encoding(data["encoding"]) if data["encoding"] else None
@@ -510,9 +577,9 @@ def _schema_from_dict(data) -> Optional[vectorize.FeatureSchema]:
             base=base,
             alphabet=alphabet,
             codes3=vectorize.terms3_to_codes(vd["grams3"], alphabet),
-            idf1=np.asarray(vd["idf1"], dtype=np.float64),
-            idf2=np.asarray(vd["idf2"], dtype=np.float64),
-            idf3=np.asarray(vd["idf3"], dtype=np.float64),
+            idf1=read_array(vd["idf1"], "<f8"),
+            idf2=read_array(vd["idf2"], "<f8"),
+            idf3=read_array(vd["idf3"], "<f8"),
             fit_corpus_size=int(vd["fit_corpus_size"]),
         )
     return vectorize.FeatureSchema(
@@ -522,7 +589,7 @@ def _schema_from_dict(data) -> Optional[vectorize.FeatureSchema]:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write a self-describing JSON document plus a trailing sha256 line."""
+    """Write one canonical JSON line, arrays as base64 binary, plus a trailing sha256 line."""
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": model.spec.kind,
@@ -530,40 +597,46 @@ def save_model(model: TrainedModel, path) -> None:
         "seed": model.spec.seed,
         "labels": list(model.labels),
         "schema": _schema_to_dict(model.schema),
-        "parameters": {
-            # format 1.0 stores knn's training rows as dense lists
-            k: v.toarray().tolist() if isinstance(v, CsrRows) else v.tolist()
-            for k, v in model.parameters.items()
-        },
+        "parameters": {k: _encode_parameter(v) for k, v in model.parameters.items()},
     }
-    body = json.dumps(payload, sort_keys=True)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body + "\nsha256:" + digest + "\n")
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(b"\nsha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
 
 
 def load_model(path) -> TrainedModel:
-    """Verify the checksum, then the format version, then rebuild the model."""
+    """Verify the checksum, then the format version, then rebuild the model.
+
+    Format 2.x stores arrays as base64 binary and knn's training rows as CSR;
+    1.x files, which hold JSON number lists and dense training rows, still load.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    body, _, tail = raw.rstrip(b"\r\n").rpartition(b"\n")
+    body = body.removesuffix(b"\r")  # as a text-mode reader would, accept CRLF
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
-    body, _, tail = text.rstrip("\n").rpartition("\n")
-    if not tail.startswith("sha256:"):
+    if not tail.startswith(b"sha256:"):
         raise ModelFormatError("missing checksum line; file truncated or corrupt")
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if digest != tail[len("sha256:"):]:
+    if hashlib.sha256(body).hexdigest().encode("ascii") != tail[len(b"sha256:"):]:
         raise ModelFormatError("checksum mismatch; file corrupt")
     try:
-        payload = json.loads(body)
+        payload = json.loads(text)
         version = str(payload.get("format_version", ""))
     except (json.JSONDecodeError, AttributeError) as exc:
         raise ModelFormatError(f"unparsable model body: {exc}") from exc
-    if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
+    major = version.split(".")[0]
+    if major not in ("1", FORMAT_VERSION.split(".")[0]):
         raise ModelFormatError(
             f"format version {version!r} incompatible with {FORMAT_VERSION}"
         )
+    if major == "1":  # JSON number lists; knn's training rows dense
+        read_array, read_csr = np.asarray, CsrRows.from_dense
+    else:
+        read_array, read_csr = _decode_array, _decode_csr
     try:  # a checksum-valid body may still lack a field or hold a bad value
         spec = ClassifierSpec(
             kind=payload["kind"],
@@ -571,16 +644,17 @@ def load_model(path) -> TrainedModel:
             seed=int(payload["seed"]),
         )
         parameters = {
-            k: np.asarray(v, dtype=np.int64 if k in _INT_PARAMS else np.float64)
+            k: read_csr(v) if k == "train_matrix"
+            else read_array(v, "<i8" if k in _INT_PARAMS else "<f8")
             for k, v in payload["parameters"].items()
         }
-        if "train_matrix" in parameters:
-            parameters["train_matrix"] = CsrRows.from_dense(parameters["train_matrix"])
-        return TrainedModel(
-            schema=_schema_from_dict(payload["schema"]),
+        model = TrainedModel(
+            schema=_schema_from_dict(payload["schema"], read_array),
             spec=spec,
             labels=tuple(payload["labels"]),
             parameters=parameters,
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        _check_parameters(spec.kind, model.labels, model.schema, parameters)
+        return model
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model body: {exc!r}") from exc

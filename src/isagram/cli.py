@@ -8,9 +8,11 @@ carries the documented machine-parsable output, diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import classify, codec, evaluate, vectorize
 from . import corpus as corpus_mod
@@ -20,6 +22,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+# documents that predict transforms and scores at once
+PREDICT_BATCH = 256
 
 FEATURE_ALIASES = {
     "tfidf-byte": "tfidf_byte",
@@ -147,7 +152,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_input_docs(args) -> list[Document]:
+def _input_docs(args) -> Iterator[Document]:
+    """The documents to label, read as they are consumed (jsonl) or whole (raw)."""
     if args.input_format == "raw":
         if args.input == "-":
             data, doc_id = sys.stdin.buffer.read(), "-"
@@ -155,19 +161,22 @@ def _read_input_docs(args) -> list[Document]:
             data, doc_id = Path(args.input).read_bytes(), Path(args.input).name
         if not data:
             raise CorpusError("raw input is empty")
-        return [Document(data, None, doc_id)]
+        return iter([Document(data, None, doc_id)])
     if args.input == "-":
-        return list(corpus_mod.ingest_lines(sys.stdin, "<stdin>").documents)
-    return list(corpus_mod.ingest(args.input, "jsonl").documents)
+        return corpus_mod.iter_lines(sys.stdin, "<stdin>")
+    return corpus_mod.iter_jsonl(args.input)
 
 
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
-    docs = _read_input_docs(args)
-    X = vectorize.transform_rows(model.schema, docs)
-    labels, scores = classify.predict_matrix(model, X)
-    for doc, label, row in zip(docs, labels, scores):
-        print(f"{doc.id}\t{label}\t{float(row.max())!r}")
+    if model.schema is None:
+        raise classify.ModelFormatError("model carries no feature schema; it cannot read documents")
+    docs = _input_docs(args)
+    # fixed batches keep memory flat however long the input is
+    while batch := list(itertools.islice(docs, PREDICT_BATCH)):
+        labels, scores = classify.predict_matrix(model, vectorize.transform_rows(model.schema, batch))
+        for doc, label, row in zip(batch, labels, scores):
+            print(f"{doc.id}\t{label}\t{float(row.max())!r}")
     return EXIT_OK
 
 

@@ -139,35 +139,29 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
     if fmt == "jsonl":
-        # records end at "\n" only, as on sys.stdin, so a file and stdin agree
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            docs, skipped = _ingest_jsonl(fh, str(path))
-    elif fmt == "directory":
+        return Corpus(list(iter_jsonl(path, allow_empty)))
+    if fmt == "directory":
         docs, skipped = _ingest_directory(path)
-    else:
-        raise CorpusError(f"unknown corpus format {fmt!r}")
-    return _corpus(docs, skipped, str(path), allow_empty)
+        _report(len(docs), skipped, str(path), allow_empty)
+        return Corpus(docs)
+    raise CorpusError(f"unknown corpus format {fmt!r}")
 
 
-def ingest_lines(lines: Iterable[str], source: str) -> Corpus:
-    """Load a jsonl corpus from its lines, e.g. an open stream, reading them once.
+def iter_jsonl(path: str | Path, allow_empty: bool = False) -> Iterator[Document]:
+    """The documents of a jsonl file, yielded as its lines are read (see ``iter_lines``)."""
+    # records end at "\n" only, as on sys.stdin, so a file and stdin agree
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        yield from iter_lines(fh, str(path), allow_empty)
 
-    ``source`` names the input in warnings and errors; records are skipped
-    as in ``ingest``.
+
+def iter_lines(lines: Iterable[str], source: str, allow_empty: bool = False) -> Iterator[Document]:
+    """The documents of jsonl lines, e.g. an open stream, yielded as the lines are read.
+
+    ``source`` names the input in warnings and errors.  Records are skipped
+    as in ``ingest``; once the lines run out, the skipped count is logged,
+    and zero valid records is a CorpusError unless ``allow_empty`` is set.
     """
-    return _corpus(*_ingest_jsonl(lines, source), source, False)
-
-
-def _corpus(docs: list[Document], skipped: int, source: str, allow_empty: bool) -> Corpus:
-    if skipped:
-        log.warning("skipped %d malformed record(s) while ingesting %s", skipped, source)
-    if not docs and not allow_empty:
-        raise CorpusError(f"zero valid records in {source}")
-    return Corpus(docs)
-
-
-def _ingest_jsonl(lines: Iterable[str], source: str) -> tuple[list[Document], int]:
-    docs, skipped = [], 0
+    valid = skipped = 0
     try:
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
@@ -186,10 +180,18 @@ def _ingest_jsonl(lines: Iterable[str], source: str) -> tuple[list[Document], in
                 log.warning("line %d: %s", lineno, problem)
                 skipped += 1
                 continue
-            docs.append(Document(payload, label, doc_id))
+            valid += 1
+            yield Document(payload, label, doc_id)
     except UnicodeDecodeError as exc:  # raised while reading the next line
         raise CorpusError(f"{source} is not UTF-8 text: {exc}") from exc
-    return docs, skipped
+    _report(valid, skipped, source, allow_empty)
+
+
+def _report(valid: int, skipped: int, source: str, allow_empty: bool) -> None:
+    if skipped:
+        log.warning("skipped %d malformed record(s) while ingesting %s", skipped, source)
+    if not valid and not allow_empty:
+        raise CorpusError(f"zero valid records in {source}")
 
 
 def _record_problem(payload: bytes, label, doc_id: str) -> Optional[str]:

@@ -1,8 +1,8 @@
 """Compressed sparse row (CSR) feature rows in plain numpy.
 
 Feature rows are 0.16 % filled at protocol scale, so they are stored as
-CSR.  The type covers only what the pipeline needs (build, densify, row
-ids); ``scipy.sparse`` is not imported because importing it costs more
+CSR.  The type covers only what the pipeline needs (build, check, densify,
+row ids); ``scipy.sparse`` is not imported because importing it costs more
 than a whole ``isagram predict`` spends on features.
 """
 
@@ -45,6 +45,23 @@ class CsrRows:
             raise ValueError("feature matrix must be 2-D")
         rows, cols = np.nonzero(X)  # NaN counts as nonzero, so it stays visible
         return cls.from_triples(rows, cols, X[rows, cols], X.shape)
+
+    def check(self) -> "CsrRows":
+        """These rows, if the arrays are well-formed CSR of ``shape``; else ValueError."""
+        rows, cols = self.shape
+        indptr, indices, nnz = self.indptr, self.indices, self.data.shape[0]
+        if indptr.shape != (rows + 1,) or indices.shape != (nnz,) or self.data.ndim != 1:
+            raise ValueError("CSR array lengths do not match the shape")
+        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+            raise ValueError("CSR indptr must rise from 0 to the number of stored values")
+        if nnz and (indices.min() < 0 or indices.max() >= cols):
+            raise ValueError("CSR column index out of range")
+        ascending = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        ascending[starts[(starts > 0) & (starts < nnz)] - 1] = True  # a row may start lower
+        if not ascending.all():
+            raise ValueError("CSR columns must ascend within a row")
+        return self
 
     def row_ids(self) -> np.ndarray:
         """Row index of every stored value."""

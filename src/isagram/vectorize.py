@@ -66,6 +66,9 @@ class GramVocabulary:
     fit_corpus_size: int
 
     def __post_init__(self):
+        b = self.base  # also guards vocabularies read back from model files
+        if (self.idf1.shape, self.idf2.shape, self.idf3.shape) != ((b,), (b * b,), self.codes3.shape):
+            raise ValueError("IDF vector lengths do not match the vocabulary")
         order = np.argsort(self.codes3)
         object.__setattr__(self, "sorted3", self.codes3[order])
         object.__setattr__(self, "pos3", order.astype(np.int64))

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -457,9 +458,9 @@ def test_save_load_char_mode_schema(tmp_path):
     )
 
 
-def fitted_model_file(tmp_path):
+def fitted_model_file(tmp_path, kind="mnb"):
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model = fit_vectors(ClassifierSpec("mnb"), X, ["A", "B"])
+    model = fit_vectors(ClassifierSpec(kind), X, ["A", "B"])
     path = tmp_path / "m.model"
     save_model(model, path)
     return path
@@ -485,6 +486,13 @@ def test_load_rejects_truncation(tmp_path):
         load_model(path)
 
 
+def test_load_accepts_crlf_line_ends(tmp_path):
+    # as the text-mode reader of earlier releases did, e.g. after a CRLF checkout
+    path = fitted_model_file(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_model(path).labels == ("A", "B")
+
+
 def rewrite_with_valid_checksum(path, mutate):
     import hashlib
 
@@ -498,14 +506,15 @@ def rewrite_with_valid_checksum(path, mutate):
 
 def test_load_rejects_bumped_major_version(tmp_path):
     path = fitted_model_file(tmp_path)
-    rewrite_with_valid_checksum(path, lambda p: p.update(format_version="2.0"))
+    next_major = f"{int(classify.FORMAT_VERSION.split('.')[0]) + 1}.0"
+    rewrite_with_valid_checksum(path, lambda p: p.update(format_version=next_major))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
 
 
 def test_load_accepts_same_major_minor_bump(tmp_path):
     path = fitted_model_file(tmp_path)
-    rewrite_with_valid_checksum(path, lambda p: p.update(format_version="1.7"))
+    rewrite_with_valid_checksum(path, lambda p: p.update(format_version="2.7"))
     assert load_model(path).labels == ("A", "B")
 
 
@@ -530,13 +539,39 @@ def test_load_rejects_nonfinite_hyperparameter(tmp_path):
         load_model(path)
 
 
+def int64_record(values) -> dict:
+    raw = np.asarray(values, dtype="<i8").tobytes()
+    return {"base64": base64.b64encode(raw).decode(), "dtype": "<i8", "shape": [len(values)]}
+
+
+def set_csr(p, **arrays):
+    # knn's training rows of fitted_model_file(kind="knn") are [[1, 0], [0, 1]]
+    p["parameters"]["train_matrix"].update({k: int64_record(v) for k, v in arrays.items()})
+
+
+# checksum-valid format-2.0 bodies whose arrays are malformed or do not fit together
+MALFORMED_ARRAYS = {
+    "not-base64": lambda p: p["parameters"]["train_label_idx"].update(base64="AAAA!AAA"),
+    "length-not-shape": lambda p: p["parameters"]["train_label_idx"].update(shape=[3]),
+    "length-not-whole-values": lambda p: p["parameters"]["train_label_idx"].update(base64="AAAA"),
+    "int-under-float-key": lambda p: p["parameters"]["train_matrix"]["data"].update(dtype="<i8"),
+    "list-under-float-key": lambda p: p["parameters"]["train_matrix"].update(data=[1.0, 1.0]),
+    "csr-indptr-decreasing": lambda p: set_csr(p, indptr=[0, 3, 2]),
+    "csr-index-out-of-range": lambda p: set_csr(p, indices=[0, 2]),
+    "csr-columns-not-ascending": lambda p: set_csr(p, indptr=[0, 2, 2], indices=[1, 0]),
+    "label-count-not-row-count": lambda p: p["parameters"].update(train_label_idx=int64_record([0, 1, 1])),
+    "label-index-out-of-range": lambda p: p["parameters"].update(train_label_idx=int64_record([0, 2])),
+}
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [lambda p: p.pop("kind"), lambda p: p.update(parameters=[1]), lambda p: p.update(labels=None)],
-    ids=["no-kind", "parameters-not-a-map", "labels-null"],
+    [lambda p: p.pop("kind"), lambda p: p.update(parameters=[1]), lambda p: p.update(labels=None),
+     *MALFORMED_ARRAYS.values()],
+    ids=["no-kind", "parameters-not-a-map", "labels-null", *MALFORMED_ARRAYS],
 )
 def test_load_rejects_malformed_body(tmp_path, mutate):
-    path = fitted_model_file(tmp_path)
+    path = fitted_model_file(tmp_path, "knn")
     rewrite_with_valid_checksum(path, mutate)
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(path)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from isagram import classify, codec, corpus, vectorize
+from isagram import classify, cli, codec, corpus, vectorize
 from isagram.cli import main
+from test_classify import MALFORMED_ARRAYS, fitted_model_file, rewrite_with_valid_checksum
 
 
 def run(capsys, *argv):
@@ -391,6 +392,48 @@ def test_predict_corrupt_model_is_data_error(capsys, tmp_path, knn_model):
     )
     assert rc == 2
     assert "checksum" in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))
+def test_predict_malformed_model_arrays_is_data_error(capsys, tmp_path, case):
+    model_path = fitted_model_file(tmp_path, "knn")
+    rewrite_with_valid_checksum(model_path, MALFORMED_ARRAYS[case])
+    corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
+    rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
+    assert rc == 2
+    assert out == "" and err.startswith("data error: malformed model body")
+
+
+def test_predict_with_a_model_without_schema_is_data_error(capsys, tmp_path):
+    model_path = fitted_model_file(tmp_path)  # fit_vectors on bare rows
+    corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
+    rc, _, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
+    assert rc == 2
+    assert "no feature schema" in err
+
+
+def test_predict_in_batches_prints_the_unbatched_output(capsys, monkeypatch, tmp_path):
+    corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=5)
+    model_path = tmp_path / "cnb.model"
+    rc, _, _ = run(capsys, "train", "--corpus", str(corpus_path), "--features", "tfidf-byte",
+                   "--model", "cnb", "--out", str(model_path))
+    assert rc == 0
+    argv = ("predict", "--model", str(model_path), "--input", str(corpus_path))
+    rc, whole, _ = run(capsys, *argv)
+    assert rc == 0 and len(whole.splitlines()) == 10
+    sizes = []
+    transform_rows = vectorize.transform_rows
+
+    def counted(schema, docs):
+        sizes.append(len(docs))
+        return transform_rows(schema, docs)
+
+    monkeypatch.setattr(cli, "PREDICT_BATCH", 3)
+    monkeypatch.setattr(vectorize, "transform_rows", counted)
+    rc, batched, _ = run(capsys, *argv)
+    assert rc == 0
+    assert sizes == [3, 3, 3, 1]
+    assert batched == whole
 
 
 # ---------------------------------------------------------------------------
