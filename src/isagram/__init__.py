@@ -19,9 +19,8 @@ from .corpus import (
     write_jsonl,
 )
 from .classify import ClassifierSpec, TrainedModel, load_model, predict, save_model
-from .evaluate import FeatureConfig, accuracy, fit_model, learning_curve, run_comparison
-from .ngram import count_subsequence
-from .vectorize import FeatureSchema, simplified_endianness, transform_rows
+from .evaluate import FeatureConfig, accuracy, fit_model, run_comparison
+from .vectorize import FeatureSchema, transform_rows
 
 __version__ = "1.0.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "SyntheticIsaSpec",
     "TrainedModel",
     "accuracy",
-    "count_subsequence",
     "decode",
     "default_isa_specs",
     "encode",
@@ -45,12 +43,10 @@ __all__ = [
     "generate_synthetic",
     "get_encoding",
     "ingest",
-    "learning_curve",
     "load_model",
     "predict",
     "run_comparison",
     "save_model",
-    "simplified_endianness",
     "split",
     "transform_rows",
     "write_jsonl",

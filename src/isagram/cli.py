@@ -78,22 +78,9 @@ def _parse_feature(token: str, default_encoding, ngram3_cap, normalize):
 
 
 def _flag_hyperparameters(args) -> dict:
-    flag_map = {
-        "alpha": "alpha",
-        "k": "k",
-        "epochs": "epochs",
-        "learning_rate": "learning_rate",
-        "batch_size": "batch_size",
-        "l2": "l2",
-        "svm_lambda": "lam",
-        "var_floor": "var_floor",
-    }
-    hp = {}
-    for flag, name in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            hp[name] = value
-    return hp
+    """The hyperparameter flags given, in flag order, under classify's names."""
+    names = {n for hp in classify.DEFAULT_HYPERPARAMETERS.values() for n in hp}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def _classifier_spec(args, model_alias: str, hp: dict):
@@ -253,11 +240,11 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
+    try:  # --classes, --docs-per-class or --len out of range
         specs = corpus_mod.default_isa_specs(args.classes)
+        corp = corpus_mod.generate_synthetic(specs, args.docs_per_class, args.len, args.seed)
     except CorpusError as exc:
         raise UsageError(str(exc)) from exc
-    corp = corpus_mod.generate_synthetic(specs, args.docs_per_class, args.len, args.seed)
     count = corpus_mod.write_jsonl(corp, args.out)
     print(f"wrote {count} documents")
     return EXIT_OK
@@ -297,7 +284,7 @@ def build_parser() -> _Parser:
         p.add_argument("--learning-rate", type=float)
         p.add_argument("--batch-size", type=int)
         p.add_argument("--l2", type=float)
-        p.add_argument("--svm-lambda", type=float, dest="svm_lambda")
+        p.add_argument("--svm-lambda", type=float, dest="lam", metavar="SVM_LAMBDA")
         p.add_argument("--var-floor", type=float)
 
     p = sub.add_parser("train", help="fit a classifier and save the model")

@@ -62,10 +62,6 @@ class Corpus:
     def subset(self, indices: Sequence[int]) -> "Corpus":
         return Corpus([self.documents[i] for i in indices])
 
-    def restrict_labels(self, labels: Sequence[str]) -> "Corpus":
-        keep = set(labels)
-        return Corpus([d for d in self.documents if d.label in keep])
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -290,6 +286,8 @@ def generate_synthetic(
     max_width = max(s.instruction_width for s in specs)
     if doc_len_bytes < 2 * max_width:
         raise CorpusError(f"doc_len_bytes must be >= {2 * max_width}")
+    if docs_per_class < 1:
+        raise CorpusError("docs_per_class must be >= 1")
     docs = []
     for class_idx, spec in enumerate(specs):
         prefixes = sorted(spec.opcode_distribution)

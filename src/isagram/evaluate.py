@@ -1,4 +1,4 @@
-"""Repeated-split evaluation, feature-method comparison, learning curves.
+"""Repeated-split evaluation and feature-method comparison.
 
 Every repeat draws its own stratified train/test split; the featurizer is
 fitted inside the repeat on that repeat's train documents only, so IDF
@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classify
-from .corpus import Corpus, CorpusError, SplitSpec, split
-from .rng import SplitMix64, derive_seed
+from .corpus import Corpus, SplitSpec, split
 from .vectorize import FeatureConfig
 
 
@@ -29,14 +28,6 @@ class EvaluationReport:
     feature_config: FeatureConfig
     classifier_spec: classify.ClassifierSpec
     split_spec: SplitSpec
-
-
-@dataclass(frozen=True)
-class LearningCurve:
-    points: tuple[tuple[int, int, float], ...]  # (train_size, classes, mean acc)
-    feature_config: FeatureConfig
-    classifier_spec: classify.ClassifierSpec
-    seed: int
 
 
 def accuracy(predictions: Sequence[tuple[str, str]]) -> float:
@@ -98,97 +89,19 @@ def run_comparison(
     return reports
 
 
-def learning_curve(
-    corpus: Corpus,
-    method: FeatureConfig,
-    spec: classify.ClassifierSpec,
-    train_sizes: Sequence[int],
-    class_counts: Sequence[int],
-    repeats: int,
-    seed: int,
-) -> LearningCurve:
-    """Mean accuracy at each (class count, total train size) grid point.
-
-    Class subsets take labels in ascending order.  Train documents are
-    allocated equally per class (size // classes each).  Per (classes,
-    repeat, label) one seeded permutation reserves its first fifth (at
-    least one document) as a fixed held-out test set shared by all sizes;
-    train subsets come from the remainder.
-    """
-    if repeats < 1:
-        raise CorpusError("repeats must be >= 1")
-    points = []
-    for n_classes in sorted(set(class_counts)):
-        if not 2 <= n_classes <= len(corpus.label_set):
-            raise CorpusError(
-                f"class count {n_classes} infeasible for {len(corpus.label_set)} labels"
-            )
-        labels = corpus.label_set[:n_classes]
-        sub = corpus.restrict_labels(labels)
-        by_label = sub.indices_by_label()
-        for size in sorted(set(train_sizes)):
-            per_class = size // n_classes
-            if per_class < 1:
-                raise CorpusError(f"train size {size} < 1 document per class")
-            accs = []
-            for repeat in range(repeats):
-                train_idx: list[int] = []
-                test_idx: list[int] = []
-                for label_pos, label in enumerate(labels):
-                    idxs = list(by_label[label])
-                    rng = SplitMix64(derive_seed(seed, 3, n_classes, repeat, label_pos))
-                    rng.shuffle(idxs)
-                    test_n = max(1, len(idxs) // 5)
-                    pool = idxs[test_n:]
-                    if per_class > len(pool):
-                        raise CorpusError(
-                            f"train size {size} infeasible: class {label!r} has "
-                            f"{len(pool)} documents after holding out {test_n}"
-                        )
-                    test_idx.extend(idxs[:test_n])
-                    train_idx.extend(pool[:per_class])
-                train = sub.subset(sorted(train_idx))
-                test = sub.subset(sorted(test_idx))
-                acc, _ = _evaluate_one(method, spec, train, test, labels)
-                accs.append(acc)
-            points.append((size, n_classes, float(np.mean(accs))))
-    points.sort(key=lambda p: (p[1], p[0]))
-    return LearningCurve(
-        points=tuple(points), feature_config=method, classifier_spec=spec, seed=seed
-    )
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_report(report: EvaluationReport, format: str = "text_table") -> str:
-    """Human table or machine CSV (header method,encoding,classifier,repeat,accuracy)."""
+def render_report(report: EvaluationReport, format: str = "csv") -> str:
+    """Per-repeat CSV (header method,encoding,classifier,repeat,accuracy)."""
+    if format != "csv":
+        raise ValueError(f"unknown report format {format!r}")
     cfg = report.feature_config
     enc = cfg.encoding.name if cfg.encoding else ""
-    if format == "csv":
-        lines = ["method,encoding,classifier,repeat,accuracy"]
-        for i, acc in enumerate(report.per_repeat_accuracy):
-            lines.append(
-                f"{cfg.method},{enc},{report.classifier_spec.kind},{i},{acc!r}"
-            )
-        return "\n".join(lines) + "\n"
-    if format != "text_table":
-        raise ValueError(f"unknown report format {format!r}")
-    lines = [
-        f"features   : {cfg.describe()}",
-        f"classifier : {report.classifier_spec.kind}",
-        f"repeats    : {len(report.per_repeat_accuracy)}",
-        f"accuracy   : {report.mean_accuracy:.6f} +/- {report.stddev_accuracy:.6f}",
-        "",
-        "confusion (rows = true, columns = predicted):",
-    ]
-    width = max(8, max(len(l) for l in report.labels) + 1)
-    header = " " * width + "".join(f"{l:>{width}}" for l in report.labels)
-    lines.append(header)
-    for i, label in enumerate(report.labels):
-        row = "".join(f"{int(c):>{width}}" for c in report.confusion[i])
-        lines.append(f"{label:>{width}}" + row)
+    lines = ["method,encoding,classifier,repeat,accuracy"]
+    for i, acc in enumerate(report.per_repeat_accuracy):
+        lines.append(f"{cfg.method},{enc},{report.classifier_spec.kind},{i},{acc!r}")
     return "\n".join(lines) + "\n"
 
 

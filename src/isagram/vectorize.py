@@ -30,7 +30,6 @@ import numpy as np
 
 from . import codec
 from .corpus import Corpus, Document
-from .ngram import count_subsequence
 from .sparse import CsrRows
 
 NGRAM3_CAP = 5000
@@ -330,18 +329,6 @@ def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
     else:
         triples = _hist_triples(schema, batch, docs)
     return _csr(schema, batch.size, triples)
-
-
-def simplified_endianness(doc: Document | bytes) -> tuple[int, int]:
-    """(big, little) indicator: which of 0x0001 / 0x0100 occurs more; tie -> (0, 0)."""
-    payload = doc.payload if isinstance(doc, Document) else doc
-    big = count_subsequence(payload, ENDIAN_PATTERNS[0])
-    little = count_subsequence(payload, ENDIAN_PATTERNS[1])
-    if big > little:
-        return (1, 0)
-    if little > big:
-        return (0, 1)
-    return (0, 0)
 
 
 def export_features(rows: CsrRows, corpus: Corpus, path) -> int:

@@ -106,6 +106,17 @@ def test_generate_rejects_bad_class_count(capsys, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("docs, length", [("0", "40"), ("-1", "40"), ("5", "7")])
+def test_generate_out_of_range_size_is_usage_error(capsys, tmp_path, docs, length):
+    out_path = tmp_path / "x.jsonl"
+    rc, out, err = run(
+        capsys, "generate", "--docs-per-class", docs, "--len", length, "--out", str(out_path),
+    )
+    assert rc == 1
+    assert out == "" and "usage error" in err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -155,6 +166,28 @@ def test_train_bad_hyperparameter_is_usage_error(capsys, tmp_path):
         "--model", "knn", "--k", "0", "--out", str(tmp_path / "m.model"),
     )
     assert rc == 1
+
+
+def test_train_flags_reach_the_hyperparameters_they_name(capsys, tmp_path):
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=8)
+    model_path = tmp_path / "m.model"
+    rc, _, _ = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", "svm", "--svm-lambda", "0.001", "--epochs", "2", "--out", str(model_path),
+    )
+    assert rc == 0
+    hp = classify.load_model(model_path).spec.hyperparameters
+    assert (hp["lam"], hp["epochs"]) == (0.001, 2)
+    # the first flag the kind does not take, in flag order, is the one named
+    rc, _, err = run(
+        capsys, "train", "--corpus", str(corpus_path), "--features", "hist-byte",
+        "--model", "cnb", "--var-floor", "1", "--epochs", "1", "--k", "1",
+        "--out", str(model_path),
+    )
+    assert rc == 1 and "'k'" in err
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    assert "--svm-lambda SVM_LAMBDA" in capsys.readouterr().out
 
 
 def write_records(path, records):

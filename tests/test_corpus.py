@@ -3,8 +3,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isagram import corpus, ngram
+from isagram import corpus
 from isagram.corpus import Corpus, CorpusError, Document, SplitSpec, SyntheticIsaSpec
 
 
@@ -156,6 +158,45 @@ def test_split_independent_repeats_otherwise():
     assert len(set(selections)) > 1
 
 
+@st.composite
+def split_cases(draw):
+    """A SplitSpec and per-class sizes, in the disjoint or the independent mode."""
+    spec = SplitSpec(
+        draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**64 - 1)), repeats=draw(st.integers(1, 4)),
+    )
+    need = spec.train_per_class + spec.test_per_class
+    full = spec.repeats * need
+    disjoint = spec.repeats == 1 or draw(st.booleans())
+    n_labels = draw(st.integers(1, 4))
+    if disjoint:
+        sizes = [draw(st.integers(full, full + 3)) for _ in range(n_labels)]
+    else:  # one class short of a window per repeat forces independent draws
+        sizes = [draw(st.integers(need, full - 1))]
+        sizes += [draw(st.integers(need, full + 3)) for _ in range(n_labels - 1)]
+    return spec, sizes, disjoint
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_splits_are_stratified_and_disjoint(case):
+    spec, sizes, disjoint = case
+    c = Corpus([
+        Document(b"\x01", f"c{k}", f"c{k}-{i}") for k, n in enumerate(sizes) for i in range(n)
+    ])
+    seen = set()
+    for r in range(spec.repeats):
+        train, test = corpus.split(c, spec, r)
+        for part, per_class in ((train, spec.train_per_class), (test, spec.test_per_class)):
+            counts = {label: len(idx) for label, idx in part.indices_by_label().items()}
+            assert counts == {label: per_class for label in c.label_set}
+        ids = {d.id for d in train} | {d.id for d in test}
+        assert len(ids) == len(train) + len(test)  # train and test share no document
+        if disjoint:
+            assert seen.isdisjoint(ids)
+            seen |= ids
+
+
 def test_split_protocol_scale_counts():
     specs = corpus.default_isa_specs(12)
     c = corpus.generate_synthetic(specs, docs_per_class=318, doc_len_bytes=66, seed=7)
@@ -257,7 +298,10 @@ def test_noise_zero_runs_increase_zero_windows():
     c = corpus.generate_synthetic([quiet, noisy], 20, 128, seed=6)
     runs = {"quiet": 0, "noisy": 0}
     for d in c:
-        runs[d.label] += ngram.count_subsequence(d.payload, b"\x00\x00\x00\x00")
+        # overlapping 4-byte windows of zeros
+        runs[d.label] += sum(
+            d.payload[i : i + 4] == b"\x00" * 4 for i in range(len(d.payload) - 3)
+        )
     assert runs["noisy"] > runs["quiet"]
 
 
@@ -285,3 +329,6 @@ def test_generate_errors():
         corpus.generate_synthetic([], 3, 64, seed=0)
     with pytest.raises(CorpusError):
         corpus.generate_synthetic(corpus.default_isa_specs(2), 3, 4, seed=0)
+    for docs_per_class in (0, -1):
+        with pytest.raises(CorpusError):
+            corpus.generate_synthetic(corpus.default_isa_specs(2), docs_per_class, 64, seed=0)

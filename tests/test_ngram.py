@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from isagram import codec, ngram
+from isagram import codec
 from isagram.corpus import Document
 from isagram.rng import SplitMix64
 from isagram.vectorize import encode_batch, gram_table
@@ -60,21 +59,3 @@ def test_permutation_sensitivity():
     assert table_grams(doc, 2) != table_grams(doc[::-1], 2)
     # 1-gram counts are permutation-invariant by contrast
     assert table_grams(doc, 1) == table_grams(doc[::-1], 1)
-
-
-def test_count_subsequence_examples():
-    assert ngram.count_subsequence(b"\x00\x00\x00", b"\x00\x00") == 2
-    assert ngram.count_subsequence(b"\x00\x01\x00\x01", b"\x00\x01") == 2
-    assert ngram.count_subsequence(b"\x01\x00", b"\x00\x01") == 0
-    assert ngram.count_subsequence(b"", b"\x00") == 0
-    assert ngram.count_subsequence(b"\xab", b"\xab\xcd") == 0
-
-
-def test_count_subsequence_unaligned():
-    # hits are scanned at every byte offset, not at word boundaries
-    assert ngram.count_subsequence(b"\xff\x00\x01\xff", b"\x00\x01") == 1
-
-
-def test_count_subsequence_empty_pattern():
-    with pytest.raises(ValueError):
-        ngram.count_subsequence(b"abc", b"")

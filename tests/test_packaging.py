@@ -17,15 +17,29 @@ def test_package_version_matches_pyproject():
     assert project["version"] == isagram.__version__
 
 
-def test_import_loads_neither_scipy_nor_numba():
-    # importing scipy costs more than a whole `isagram predict` spends on features
-    probe = (
-        "import sys, isagram\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
-    )
+def test_public_names_resolve_and_deleted_ones_are_gone():
+    for name in isagram.__all__:
+        assert getattr(isagram, name) is not None, name
+    for name in ("learning_curve", "simplified_endianness", "count_subsequence"):
+        assert name not in isagram.__all__ and not hasattr(isagram, name)
+
+
+def modules_after_fresh_import():
+    """The names in sys.modules after `import isagram` in a new interpreter."""
+    probe = "import sys, isagram\nprint('\\n'.join(sorted(sys.modules)))"
     src = Path(isagram.__file__).resolve().parent.parent
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)}, cwd=src,
     ).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    # importing scipy costs more than a whole `isagram predict` spends on features
+    tops = {m.split(".")[0] for m in modules_after_fresh_import()}
+    assert not tops & {"scipy", "numba"}
+
+
+def test_import_loads_no_ngram_module():
+    assert "isagram.ngram" not in modules_after_fresh_import()

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_tfidf as oracle
 from isagram import codec, vectorize
@@ -16,7 +18,6 @@ from isagram.sparse import CsrRows
 from isagram.vectorize import (
     FeatureSchema,
     gram_table,
-    simplified_endianness,
     terms3_to_codes,
     transform_rows,
 )
@@ -141,6 +142,44 @@ def test_tfidf_matches_oracle_char(name):
         [oracle.oracle_transform(s, vocab, idf) for s in seqs]
     )
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+PAYLOADS = st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=5)
+
+
+def check_against_oracle(mode, enc, train, unseen, normalize):
+    # short payloads (1 and 2 bytes) leave the higher-n blocks of a row empty
+    corp = Corpus([Document(p, None, str(i)) for i, p in enumerate(train)])
+    schema, rows = FeatureConfig(f"tfidf_{mode}", enc, normalize=normalize).fit_transform(corp)
+    alphabet = oracle.alphabet_of(mode, enc)
+    vocab, idf = oracle.oracle_fit([oracle.seq_of(p, mode, enc) for p in train], alphabet)
+    v = schema.vocab
+    assert v.codes3.tolist() == oracle_codes3(vocab, len(alphabet), None if enc is None else alphabet)
+    got_idf = np.concatenate([v.idf1, v.idf2, v.idf3])
+    assert np.max(np.abs(got_idf - [idf[g] for g in vocab])) < 1e-12
+    unseen_docs = [Document(p, None, f"u{i}") for i, p in enumerate(unseen)]
+    for payloads, got in ((train, rows), (unseen, transform_rows(schema, unseen_docs))):
+        want = [
+            oracle.oracle_transform(oracle.seq_of(p, mode, enc), vocab, idf, normalize)
+            for p in payloads
+        ]
+        assert np.max(np.abs(got.toarray() - np.array(want))) < 1e-12
+
+
+# the byte oracle walks all 65 536 2-grams per row, so it gets fewer examples
+@settings(max_examples=8, deadline=None)
+@given(train=PAYLOADS, unseen=PAYLOADS, normalize=st.booleans())
+def test_tfidf_byte_equals_the_oracle_on_random_corpora(train, unseen, normalize):
+    check_against_oracle("byte", None, train, unseen, normalize)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    train=PAYLOADS, unseen=PAYLOADS, normalize=st.booleans(),
+    enc=st.sampled_from(sorted(codec.ENCODINGS.values(), key=lambda e: e.name)),
+)
+def test_tfidf_char_equals_the_oracle_on_random_corpora(train, unseen, normalize, enc):
+    check_against_oracle("char", enc, train, unseen, normalize)
 
 
 def test_hist_matches_oracle():
@@ -364,13 +403,6 @@ def test_histogram_block_sums_to_one():
         rows = transform_rows(schema, rand_corpus(71, 10, 50).documents).toarray()
         sums = rows[:, : schema.base].sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
-
-
-def test_simplified_endianness_examples():
-    assert simplified_endianness(Document(b"\x00\x01\x00\x01", None, "q")) == (1, 0)
-    assert simplified_endianness(b"\x01\x00") == (0, 1)
-    assert simplified_endianness(b"\xaa\xbb") == (0, 0)
-    assert simplified_endianness(b"\x00\x01\x01\x00\x00") == (0, 0)  # 1 vs 1 tie
 
 
 # ---------------------------------------------------------------------------
