@@ -32,7 +32,7 @@ class CsrRows:
         keep = values != 0
         if not keep.all():  # copy only when there is something to drop
             rows, cols, values = rows[keep], cols[keep], values[keep]
-        order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
+        order = np.argsort(rows.astype(np.int64) * shape[1] + cols)  # keys are distinct
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
         data = np.asarray(values, dtype=np.float64)[order]

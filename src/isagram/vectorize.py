@@ -15,10 +15,13 @@ code order breaking ties), capped at 5000.
 
 Each batch is encoded once (``encode_batch``; in char mode one vectorised
 ``codec.encode_digits`` call) and counted once: ``gram_table`` gives the
-distinct (doc, code, count) triples for each n = 1, 2, 3, and one pass over
-n reads each table both to fit and to transform.  ``FeatureConfig.fit_transform``
-fits a schema and returns the training rows from one such pass, and
-``transform_rows`` applies a fitted schema to new documents; rows leave as CSR.
+distinct (doc, code, count) triples for each n = 1, 2, 3, sorted by code,
+then doc, so all later steps are linear in the table: the distinct 3-gram
+codes are its runs, and the vocabulary lookup searches each of them once.
+One pass over n reads each table both to fit and to transform.
+``FeatureConfig.fit_transform`` fits a schema and returns the training rows
+from one such pass, and ``transform_rows`` applies a fitted schema to new
+documents; rows leave as CSR.
 """
 
 from __future__ import annotations
@@ -40,11 +43,9 @@ METHODS = TFIDF_METHODS + HIST_METHODS
 
 # 2-byte probe patterns, in feature order: 0x0001, 0x0100, 0xfffe, 0xfeff
 ENDIAN_PATTERNS = (b"\x00\x01", b"\x01\x00", b"\xff\xfe", b"\xfe\xff")
-# the patterns as raw-byte 2-gram codes in ascending order, and their feature slots
-_PROBE_CODES, _PROBE_COLS = (
-    np.array(x, dtype=np.int64)
-    for x in zip(*sorted((p[0] * 256 + p[1], j) for j, p in enumerate(ENDIAN_PATTERNS)))
-)
+# the feature slot of each raw 2-byte window code: its pattern's position, or -1
+_PROBE_SLOT = np.full(1 << 16, -1, dtype=np.int8)
+_PROBE_SLOT[[p[0] * 256 + p[1] for p in ENDIAN_PATTERNS]] = np.arange(len(ENDIAN_PATTERNS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,20 +160,38 @@ def gram_table(
 
     Documents are ``flat[offsets[d]:offsets[d+1]]``; windows advance one term
     and never cross document boundaries.  A window's code is its terms read
-    as base-``base`` digits.  Triples come sorted by doc, then code.
+    as base-``base`` digits.  Triples come sorted by code, then doc (one
+    sort of ``code * n_docs + doc`` keys), so the distinct codes of the table
+    are its runs, and the triples of any one doc still ascend in code.
     """
-    n_docs = offsets.shape[0] - 1
-    nwin = np.maximum(np.diff(offsets) - (n - 1), 0)
-    doc = np.repeat(np.arange(n_docs, dtype=np.int64), nwin)
-    first_window = np.cumsum(nwin) - nwin
-    starts = offsets[:-1][doc] + np.arange(doc.shape[0]) - first_window[doc]
-    code = flat[starts].astype(np.int64)
+    docs = np.arange(offsets.shape[0] - 1, dtype=np.int32)
+    n_docs = max(docs.shape[0], 1)
+    m = max(flat.shape[0] - (n - 1), 0)  # windows of the flat array, doc ends ignored
+    key = flat[:m].astype(np.int64)
     for j in range(1, n):
-        code = code * base + flat[starts + j]
-    span = base ** n
-    keys, count = np.unique(doc * span + code, return_counts=True)
+        key *= base
+        key += flat[j : j + m]
+    key *= n_docs
+    key += np.repeat(docs, np.diff(offsets))[:m]
+    keep = np.ones(m, dtype=bool)
+    for j in range(1, n):  # a window starting j terms before a doc's end runs past it
+        start = offsets[1:] - j
+        keep[start[(start >= offsets[:-1]) & (start < m)]] = False
+    key = key[keep]
+    key.sort()
+    first = np.flatnonzero(_run_starts(key))
+    count = np.diff(first, append=key.shape[0])
+    code, doc = np.divmod(key[first], n_docs)
     # int32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
-    return (keys // span).astype(np.int32), (keys % span).astype(np.int32), count.astype(np.int32)
+    return doc.astype(np.int32), code.astype(np.int32), count.astype(np.int32)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a sorted array holds a value it did not hold just before."""
+    new = np.empty(a.shape[0], dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
 
 
 def _find(sorted_keys: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -216,17 +235,17 @@ def _idf(df: np.ndarray, d_total: int) -> np.ndarray:
     return np.log((d_total + 1.0) / (df + 1.0)) + 1.0
 
 
-def _select3(code: np.ndarray, count: np.ndarray, base: int, ngram3_cap: int):
+def _select3(code: np.ndarray, count: np.ndarray, pool: np.ndarray, slot: np.ndarray,
+             base: int, ngram3_cap: int):
     """The top 3-gram codes of a training table by total count, and their df.
 
     All base^3 candidates compete when they fit under the cap (fixed block);
-    otherwise only grams observed in training enter the ranking.  Ties keep
+    otherwise only the grams observed in training (``pool``, with ``slot``
+    the index of each table row's code in it) enter the ranking.  Ties keep
     ascending code order.
     """
     if base ** 3 <= ngram3_cap:
         pool, slot = np.arange(base ** 3), code
-    else:
-        pool, slot = np.unique(code, return_inverse=True)
     totals = np.bincount(slot, weights=count, minlength=pool.shape[0])
     ranked = np.argsort(-totals, kind="stable")[:ngram3_cap]
     return pool[ranked].astype(np.int64), np.bincount(slot, minlength=pool.shape[0])[ranked]
@@ -239,18 +258,21 @@ def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP):
     idfs, parts = [], []
     for n in (1, 2, 3):
         doc, code, count = batch.table(n)
+        if n == 3:  # the table's runs: its distinct codes, and each row's run
+            new = _run_starts(code)
+            pool, slot = code[new], np.cumsum(new) - 1
         if vocab is not None:
             idfs.append((vocab.idf1, vocab.idf2, vocab.idf3)[n - 1])
         elif n < 3:  # a table row per (doc, distinct gram): bincount over codes is df
             idfs.append(_idf(np.bincount(code, minlength=base ** n), d_total))
         else:
-            codes3, df3 = _select3(code, count, base, ngram3_cap)
+            codes3, df3 = _select3(code, count, pool, slot, base, ngram3_cap)
             idfs.append(_idf(df3, d_total))
             enc = batch.encoding
             alphabet = None if enc is None else "".join(sorted(enc.alphabet))
             vocab = GramVocabulary(base, alphabet, codes3, *idfs, d_total)
         if n == 3:  # vocabulary grams only; a gram's slot is its rank position
-            j = _find(vocab.sorted3, code)
+            j = _find(vocab.sorted3, pool)[slot]  # one lookup per distinct code
             doc, count, code = doc[j >= 0], count[j >= 0], vocab.pos3[j[j >= 0]]
         first_col = (0, base, base + base * base)[n - 1]
         tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
@@ -263,11 +285,16 @@ def _hist_triples(schema: FeatureSchema, batch: GramBatch, docs: Sequence[Docume
     doc, code, count = batch.table(1)
     hist = (doc, code, count / np.diff(batch.offsets)[doc])
     raw = encode_batch(docs) if schema.is_char else batch  # the probes always read raw bytes
-    doc, code, count = raw.table(2)
-    j = _find(_PROBE_CODES, code)
-    doc, count = doc[j >= 0], count[j >= 0]
-    rate = count * (1.0 / np.diff(raw.offsets)[doc])
-    probes = (doc, schema.base + _PROBE_COLS[j[j >= 0]], rate)
+    flat, offsets = raw.flat, raw.offsets
+    slot = _PROBE_SLOT[flat[:-1] * 256 + flat[1:]]
+    at = np.flatnonzero(slot >= 0)  # probe windows, some running past their doc's end
+    doc = np.searchsorted(offsets, at, side="right") - 1
+    inside = at + 1 < offsets[doc + 1]
+    k = len(ENDIAN_PATTERNS)
+    hits = np.bincount(doc[inside] * k + slot[at[inside]], minlength=raw.size * k).reshape(-1, k)
+    doc, slot = np.nonzero(hits)
+    rate = hits[doc, slot] * (1.0 / np.diff(offsets)[doc])
+    probes = (doc, schema.base + slot, rate)
     return tuple(np.concatenate(x) for x in zip(hist, probes))
 
 

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isagram import codec
 from isagram.corpus import Document
@@ -59,3 +61,31 @@ def test_permutation_sensitivity():
     assert table_grams(doc, 2) != table_grams(doc[::-1], 2)
     # 1-gram counts are permutation-invariant by contrast
     assert table_grams(doc, 1) == table_grams(doc[::-1], 1)
+
+
+@st.composite
+def batches(draw):
+    """(documents as term lists, base): 0-6 documents, some shorter than 3 terms."""
+    base = draw(st.sampled_from([2, 3, 16, 85, 256]))
+    docs = draw(st.lists(st.lists(st.integers(0, base - 1), max_size=9), max_size=6))
+    return docs, base
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches(), n=st.integers(1, 3))
+@example(batch=([], 16), n=1)
+@example(batch=([[1], [], [2, 3], [0, 1, 2]], 4), n=3)
+def test_gram_table_equals_a_per_document_counter_in_code_then_doc_order(batch, n):
+    docs, base = batch
+    want = {}
+    for d, terms in enumerate(docs):
+        for i in range(len(terms) - n + 1):
+            code = 0
+            for t in terms[i : i + n]:
+                code = code * base + t
+            want[code, d] = want.get((code, d), 0) + 1
+    flat = np.array([t for terms in docs for t in terms], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum([len(t) for t in docs]))).astype(np.int64)
+    doc, code, count = gram_table(flat, offsets, n, base)
+    got = list(zip(code.tolist(), doc.tolist(), count.tolist()))
+    assert got == [(c, d, k) for (c, d), k in sorted(want.items())]

@@ -182,6 +182,24 @@ def test_tfidf_char_equals_the_oracle_on_random_corpora(train, unseen, normalize
     check_against_oracle("char", enc, train, unseen, normalize)
 
 
+# bytes of the four probes, so short random documents hit them often
+PROBE_BYTES = st.sampled_from([0x00, 0x01, 0xFE, 0xFF, 0x41])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    payloads=st.lists(st.lists(PROBE_BYTES, min_size=1, max_size=3).map(bytes), min_size=1, max_size=8),
+    enc=st.sampled_from([None] + sorted(codec.ENCODINGS.values(), key=lambda e: e.name)),
+)
+def test_hist_rows_equal_the_oracle_on_short_documents(payloads, enc):
+    # a 2-byte window spanning two documents would add a probe hit the oracle lacks
+    mode = "byte" if enc is None else "char"
+    docs = [Document(p, None, str(i)) for i, p in enumerate(payloads)]
+    got = transform_rows(FeatureSchema(f"hist_endian_{mode}", enc), docs).toarray()
+    want = np.array([oracle.oracle_hist_endian(p, mode, enc) for p in payloads])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_hist_matches_oracle():
     c = rand_corpus(31, 10, 24)
     for mode, enc in [("byte", None), ("char", codec.BASE32)]:
