@@ -131,6 +131,8 @@ def fit_vectors(
     for name, value in params.items():
         if isinstance(value, np.ndarray) and not np.isfinite(value).all():
             raise CorpusError(f"{spec.kind} fit diverged: {name} is not finite")
+    if spec.kind == "gnb" and _gnb_overflows(params["mean"], params["var"]):
+        raise CorpusError("gnb fit diverged: its scores can leave float range (var_floor)")
     return TrainedModel(schema=schema, spec=spec, labels=classes, parameters=params)
 
 
@@ -199,6 +201,17 @@ def _fit_gnb(spec, X, y, n_classes):
     var = (_class_sums(X, y, n_classes, dev * dev) + (counts - stored) * mean * mean) / counts
     var = np.maximum(var, floor)
     return {"log_prior": np.log(counts[:, 0] / y.shape[0]), "mean": mean, "var": var}
+
+
+def _gnb_overflows(mean: np.ndarray, var: np.ndarray) -> bool:
+    """Whether a gnb score can leave float range.  At feature values of at most 1
+    in size, |log(2 pi var)| + (1 + |mean|)^2 / var, summed per class, bounds every
+    score and partial sum of ``_score_gnb``; the log is finite (and under 745)
+    wherever 2 pi var is positive and finite, so only the extremes of var need it."""
+    with np.errstate(all="ignore"):
+        ends = np.log(2.0 * np.pi * np.array([var.min(initial=1.0), var.max(initial=1.0)]))
+        bound = (np.abs(mean) + 1.0) ** 2 / var
+        return not (np.isfinite(ends).all() and np.isfinite(bound.sum(axis=1)).all())
 
 
 def _fit_knn(spec, X, y, n_classes):
@@ -540,6 +553,8 @@ def _check_parameters(kind: str, labels: tuple, schema, parameters: dict) -> Non
     idx = parameters.get("train_label_idx")
     if idx is not None and idx.size and not (idx.min() >= 0 and idx.max() < len(labels)):
         raise ValueError("train_label_idx out of range")
+    if kind == "gnb" and _gnb_overflows(parameters["mean"], parameters["var"]):
+        raise ValueError("gnb scores can leave float range")
 
 
 def _schema_to_dict(schema: Optional[vectorize.FeatureSchema]):
@@ -554,9 +569,9 @@ def _schema_to_dict(schema: Optional[vectorize.FeatureSchema]):
     if schema.vocab is not None:
         v = schema.vocab
         out["vocab"] = {
-            "alphabet": v.alphabet,
+            "alphabet": schema.alphabet,
             "fit_corpus_size": v.fit_corpus_size,
-            "grams3": v.gram3_terms(),
+            "grams3": vectorize.gram3_terms(v.codes3, schema.alphabet),
             "idf1": _encode_array(v.idf1),
             "idf2": _encode_array(v.idf2),
             "idf3": _encode_array(v.idf3),
@@ -571,11 +586,10 @@ def _schema_from_dict(data, read_array) -> Optional[vectorize.FeatureSchema]:
     vocab = None
     if data["vocab"] is not None:
         vd = data["vocab"]
-        alphabet = vd["alphabet"]
-        base = 256 if alphabet is None else len(alphabet)
+        alphabet = vectorize.term_alphabet(encoding)
+        if vd["alphabet"] != alphabet:  # a copy, which must agree with the encoding
+            raise ValueError(f"vocabulary alphabet {vd['alphabet']!r} is not the encoding's")
         vocab = vectorize.GramVocabulary(
-            base=base,
-            alphabet=alphabet,
             codes3=vectorize.terms3_to_codes(vd["grams3"], alphabet),
             idf1=read_array(vd["idf1"], "<f8"),
             idf2=read_array(vd["idf2"], "<f8"),

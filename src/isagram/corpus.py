@@ -43,6 +43,9 @@ class Corpus:
             if d.id in seen:
                 raise CorpusError(f"duplicate document id {d.id!r}")
             seen.add(d.id)
+        self._hold(docs)
+
+    def _hold(self, docs: tuple[Document, ...]) -> None:
         self.documents = docs
         self.label_set = tuple(sorted({d.label for d in docs if d.label is not None}))
 
@@ -60,7 +63,10 @@ class Corpus:
         return out
 
     def subset(self, indices: Sequence[int]) -> "Corpus":
-        return Corpus([self.documents[i] for i in indices])
+        """The documents at distinct ``indices``, taken as they are: this corpus checked them."""
+        out = object.__new__(Corpus)
+        out._hold(tuple(self.documents[i] for i in indices))
+        return out
 
 
 @dataclass(frozen=True)
@@ -257,14 +263,10 @@ def split(corpus: Corpus, spec: SplitSpec, repeat_index: int) -> tuple[Corpus, C
     test_idx: list[int] = []
     for label_pos, label in enumerate(corpus.label_set):
         idxs = list(by_label[label])
-        if disjoint:
-            rng = SplitMix64(derive_seed(spec.seed, 1, label_pos))
-            rng.shuffle(idxs)
-            sel = idxs[repeat_index * need : (repeat_index + 1) * need]
-        else:
-            rng = SplitMix64(derive_seed(spec.seed, 2, repeat_index, label_pos))
-            rng.shuffle(idxs)
-            sel = idxs[:need]
+        keys = (1, label_pos) if disjoint else (2, repeat_index, label_pos)
+        SplitMix64(derive_seed(spec.seed, *keys)).shuffle(idxs)
+        start = repeat_index * need if disjoint else 0
+        sel = idxs[start : start + need]
         train_idx.extend(sel[: spec.train_per_class])
         test_idx.extend(sel[spec.train_per_class :])
     return corpus.subset(sorted(train_idx)), corpus.subset(sorted(test_idx))

@@ -13,21 +13,24 @@ disables it.  1- and 2-gram blocks enumerate the full alphabet; the 3-gram
 block holds the top-ranked grams by training occurrence count (ascending
 code order breaking ties), capped at 5000.
 
-Each batch is encoded once (``encode_batch``; in char mode one vectorised
-``codec.encode_digits`` call) and counted once: ``gram_table`` gives the
-distinct (doc, code, count) triples for each n = 1, 2, 3, sorted by code,
-then doc, so all later steps are linear in the table: the distinct 3-gram
-codes are its runs, and the vocabulary lookup searches each of them once.
-One pass over n reads each table both to fit and to transform.
-``FeatureConfig.fit_transform`` fits a schema and returns the training rows
-from one such pass, and ``transform_rows`` applies a fitted schema to new
-documents; rows leave as CSR.
+The alphabet, and with it every column, follows from the schema's encoding
+alone (``FeatureSchema.alphabet``): a term is a raw byte, or in char mode a
+character's rank in the sorted alphabet, and a vocabulary holds only what
+was fitted on top of that.  Each batch is encoded once (``_terms``; in char
+mode one vectorised ``codec.encode_digits`` call) and counted once:
+``gram_table`` gives the distinct (doc, code, count) triples for each
+n = 1, 2, 3, sorted by code, then doc, so all later steps are linear in the
+table: the distinct 3-gram codes are its runs, and the vocabulary lookup
+searches each of them once.  One pass over n reads each table both to fit
+and to transform.  ``FeatureConfig.fit_transform`` fits a schema and returns
+the training rows from one such pass, and ``transform_rows`` applies a
+fitted schema to new documents; rows leave as CSR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,15 +53,14 @@ _PROBE_SLOT[[p[0] * 256 + p[1] for p in ENDIAN_PATTERNS]] = np.arange(len(ENDIAN
 
 @dataclass(frozen=True, eq=False)
 class GramVocabulary:
-    """Term coordinates and IDF weights learned from a training corpus.
+    """Selected 3-gram codes and IDF weights learned from a training corpus.
 
     1- and 2-gram blocks are implicit full enumerations in code order, so
     only the selected 3-gram codes are stored (in rank order, which is the
-    feature-block order).  ``idf3`` aligns with ``codes3``.
+    feature-block order).  ``idf3`` aligns with ``codes3``.  The alphabet the
+    codes count in is the schema's (``FeatureSchema.alphabet``).
     """
 
-    base: int
-    alphabet: Optional[str]  # sorted symbol string (char mode) or None (byte)
     codes3: np.ndarray
     idf1: np.ndarray
     idf2: np.ndarray
@@ -66,32 +68,27 @@ class GramVocabulary:
     fit_corpus_size: int
 
     def __post_init__(self):
-        b = self.base  # also guards vocabularies read back from model files
-        if (self.idf1.shape, self.idf2.shape, self.idf3.shape) != ((b,), (b * b,), self.codes3.shape):
-            raise ValueError("IDF vector lengths do not match the vocabulary")
         order = np.argsort(self.codes3)
         object.__setattr__(self, "sorted3", self.codes3[order])
         object.__setattr__(self, "pos3", order.astype(np.int64))
 
-    @property
-    def dimension(self) -> int:
-        return self.base + self.base * self.base + self.codes3.shape[0]
 
-    def gram3_terms(self) -> list[str]:
-        """Selected 3-grams as text, block order: hex triples or 3-char runs."""
-        b = self.base
-        out = []
-        for c in self.codes3.tolist():
-            syms = (c // (b * b), (c // b) % b, c % b)
-            if self.alphabet is None:
-                out.append(bytes(syms).hex())
-            else:
-                out.append("".join(self.alphabet[s] for s in syms))
-        return out
+def term_alphabet(encoding: Optional[codec.Encoding]) -> Optional[str]:
+    """The sorted symbols whose ranks are the term codes; None in byte mode."""
+    return None if encoding is None else "".join(sorted(encoding.alphabet))
+
+
+def gram3_terms(codes3: np.ndarray, alphabet: Optional[str]) -> list[str]:
+    """3-gram codes as text: hex triples (byte mode, ``alphabet`` None) or 3-char runs."""
+    b = 256 if alphabet is None else len(alphabet)
+    syms = np.stack((codes3 // (b * b), codes3 // b % b, codes3 % b), axis=1).tolist()
+    if alphabet is None:
+        return [bytes(s).hex() for s in syms]
+    return ["".join(alphabet[i] for i in s) for s in syms]
 
 
 def terms3_to_codes(terms: Sequence[str], alphabet: Optional[str]) -> np.ndarray:
-    """Inverse of GramVocabulary.gram3_terms for model deserialization."""
+    """Inverse of ``gram3_terms``, for model deserialization."""
     b = 256 if alphabet is None else len(alphabet)
     codes = []
     for t in terms:
@@ -120,6 +117,10 @@ class FeatureSchema:
         _check_method(self.method, self.encoding)
         if self.is_tfidf and self.vocab is None:
             raise ValueError(f"{self.method} schema must be fitted (FeatureConfig.fit_transform)")
+        if self.vocab is not None:
+            v, b = self.vocab, self.base
+            if (v.idf1.shape, v.idf2.shape, v.idf3.shape) != ((b,), (b * b,), v.codes3.shape):
+                raise ValueError("IDF vector lengths do not match the vocabulary")
 
     @property
     def is_tfidf(self) -> bool:
@@ -130,21 +131,28 @@ class FeatureSchema:
         return self.method.endswith("_char")
 
     @property
+    def alphabet(self) -> Optional[str]:
+        return term_alphabet(self.encoding)
+
+    @property
     def base(self) -> int:
         return len(self.encoding.alphabet) if self.is_char else 256
 
     @property
     def dimension(self) -> int:
+        b = self.base
         if self.is_tfidf:
-            return self.vocab.dimension
-        return self.base + len(ENDIAN_PATTERNS)
+            return b + b * b + self.vocab.codes3.shape[0]
+        return b + len(ENDIAN_PATTERNS)
 
 
-def _flat_codes(payloads: Sequence[bytes], encoding) -> tuple[np.ndarray, np.ndarray]:
+def _terms(docs: Sequence[Document], encoding) -> tuple[np.ndarray, np.ndarray]:
     """Term codes of a batch (byte values or sorted-alphabet ranks), concatenated.
 
-    Returns the flat code array and offsets of length len(payloads) + 1.
+    Returns the flat code array and offsets of length len(docs) + 1; in char
+    mode the whole batch is encoded in one ``codec.encode_digits`` call.
     """
+    payloads = [d.payload for d in docs]
     if encoding is not None:
         digits, offsets = codec.encode_digits(encoding, payloads)
         symbols = np.frombuffer(encoding.alphabet.encode("ascii"), dtype=np.uint8)
@@ -202,35 +210,6 @@ def _find(sorted_keys: np.ndarray, code: np.ndarray) -> np.ndarray:
     return np.where(found, j, -1)
 
 
-class GramBatch(NamedTuple):
-    """A batch of documents, encoded once: term codes and document offsets.
-
-    ``table(n)`` counts the batch's length-n grams.  A pass that fits and
-    transforms reads each table for both jobs, so it is built once per batch,
-    and only one table is alive at a time.
-    """
-
-    encoding: Optional[codec.Encoding]  # None in byte mode
-    flat: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def base(self) -> int:
-        return 256 if self.encoding is None else len(self.encoding.alphabet)
-
-    @property
-    def size(self) -> int:
-        return self.offsets.shape[0] - 1
-
-    def table(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return gram_table(self.flat, self.offsets, n, self.base)
-
-
-def encode_batch(docs: Sequence[Document], encoding=None) -> GramBatch:
-    """The term codes of a batch: raw bytes, or one batch encode in char mode."""
-    return GramBatch(encoding, *_flat_codes([d.payload for d in docs], encoding))
-
-
 def _idf(df: np.ndarray, d_total: int) -> np.ndarray:
     return np.log((d_total + 1.0) / (df + 1.0)) + 1.0
 
@@ -251,13 +230,18 @@ def _select3(code: np.ndarray, count: np.ndarray, pool: np.ndarray, slot: np.nda
     return pool[ranked].astype(np.int64), np.bincount(slot, minlength=pool.shape[0])[ranked]
 
 
-def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP):
-    """Fit a vocabulary on ``batch`` (when ``vocab`` is None) and its
-    unnormalized TF x IDF (row, col, value) triples, in one pass over n."""
-    base, d_total, lengths = batch.base, batch.size, np.diff(batch.offsets)
+def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
+           ngram3_cap: int = NGRAM3_CAP):
+    """Fit a vocabulary on a batch's terms (when ``vocab`` is None) and its
+    unnormalized TF x IDF (row, col, value) triples, in one pass over n.
+
+    Each count table is read both to fit and to transform, so only one is
+    alive at a time.
+    """
+    d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
     idfs, parts = [], []
     for n in (1, 2, 3):
-        doc, code, count = batch.table(n)
+        doc, code, count = gram_table(flat, offsets, n, base)
         if n == 3:  # the table's runs: its distinct codes, and each row's run
             new = _run_starts(code)
             pool, slot = code[new], np.cumsum(new) - 1
@@ -268,9 +252,7 @@ def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP):
         else:
             codes3, df3 = _select3(code, count, pool, slot, base, ngram3_cap)
             idfs.append(_idf(df3, d_total))
-            enc = batch.encoding
-            alphabet = None if enc is None else "".join(sorted(enc.alphabet))
-            vocab = GramVocabulary(base, alphabet, codes3, *idfs, d_total)
+            vocab = GramVocabulary(codes3, *idfs, d_total)
         if n == 3:  # vocabulary grams only; a gram's slot is its rank position
             j = _find(vocab.sorted3, pool)[slot]  # one lookup per distinct code
             doc, count, code = doc[j >= 0], count[j >= 0], vocab.pos3[j[j >= 0]]
@@ -280,18 +262,19 @@ def _tfidf(batch: GramBatch, vocab=None, ngram3_cap: int = NGRAM3_CAP):
     return vocab, tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _hist_triples(schema: FeatureSchema, batch: GramBatch, docs: Sequence[Document]):
+def _hist_triples(schema: FeatureSchema, docs: Sequence[Document]):
     """(row, col, value) of symbol frequencies and endianness probe rates."""
-    doc, code, count = batch.table(1)
-    hist = (doc, code, count / np.diff(batch.offsets)[doc])
-    raw = encode_batch(docs) if schema.is_char else batch  # the probes always read raw bytes
-    flat, offsets = raw.flat, raw.offsets
+    flat, offsets = _terms(docs, schema.encoding)
+    doc, code, count = gram_table(flat, offsets, 1, schema.base)
+    hist = (doc, code, count / np.diff(offsets)[doc])
+    if schema.is_char:  # the probes always read raw bytes
+        flat, offsets = _terms(docs, None)
     slot = _PROBE_SLOT[flat[:-1] * 256 + flat[1:]]
     at = np.flatnonzero(slot >= 0)  # probe windows, some running past their doc's end
     doc = np.searchsorted(offsets, at, side="right") - 1
     inside = at + 1 < offsets[doc + 1]
     k = len(ENDIAN_PATTERNS)
-    hits = np.bincount(doc[inside] * k + slot[at[inside]], minlength=raw.size * k).reshape(-1, k)
+    hits = np.bincount(doc[inside] * k + slot[at[inside]], minlength=len(docs) * k).reshape(-1, k)
     doc, slot = np.nonzero(hits)
     rate = hits[doc, slot] * (1.0 / np.diff(offsets)[doc])
     probes = (doc, schema.base + slot, rate)
@@ -335,27 +318,26 @@ class FeatureConfig:
             return schema, transform_rows(schema, train.documents)
         if len(train) == 0:
             raise ValueError("cannot fit TF-IDF features on an empty corpus")
-        batch = encode_batch(train.documents, self.encoding)
-        vocab, triples = _tfidf(batch, None, self.ngram3_cap)
-        rows = _csr(
-            FeatureSchema(self.method, self.encoding, vocab, self.normalize), batch.size, triples
-        )
+        base = len(self.encoding.alphabet) if self.encoding else 256
+        flat, offsets = _terms(train.documents, self.encoding)
+        vocab, triples = _tfidf(flat, offsets, base, None, self.ngram3_cap)
+        schema = FeatureSchema(self.method, self.encoding, vocab, self.normalize)
+        rows = _csr(schema, len(train), triples)
         # The vocabulary outlives the pass but was allocated among its count tables;
         # fresh copies, made once those are freed, do not keep the freed heap from
         # shrinking (without them peak RSS on protocol-byte was ~8 % higher).
         arrays = (np.copy(a) for a in (vocab.codes3, vocab.idf1, vocab.idf2, vocab.idf3))
-        vocab = GramVocabulary(vocab.base, vocab.alphabet, *arrays, vocab.fit_corpus_size)
+        vocab = GramVocabulary(*arrays, vocab.fit_corpus_size)
         return FeatureSchema(self.method, self.encoding, vocab, self.normalize), rows
 
 
 def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
     """Feature rows for a batch of documents, as CSR rows (len(docs), dimension)."""
-    batch = encode_batch(docs, schema.encoding)
     if schema.is_tfidf:
-        triples = _tfidf(batch, schema.vocab)[1]
+        triples = _tfidf(*_terms(docs, schema.encoding), schema.base, schema.vocab)[1]
     else:
-        triples = _hist_triples(schema, batch, docs)
-    return _csr(schema, batch.size, triples)
+        triples = _hist_triples(schema, docs)
+    return _csr(schema, len(docs), triples)
 
 
 def export_features(rows: CsrRows, corpus: Corpus, path) -> int:

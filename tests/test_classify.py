@@ -577,6 +577,19 @@ def test_load_rejects_malformed_body(tmp_path, mutate):
         load_model(path)
 
 
+@pytest.mark.parametrize("var", [1e308, 5e-324], ids=["log-overflows", "inverse-overflows"])
+def test_gnb_whose_scores_can_leave_float_range_is_refused(tmp_path, var):
+    # log(2 pi var) overflows at 1e308, 1/var at a subnormal variance
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(corpus.CorpusError, match="float range"):
+        fit_vectors(ClassifierSpec("gnb", {"var_floor": var}), X, ["A", "B"])
+    path = fitted_model_file(tmp_path, "gnb")
+    raw = base64.b64encode(np.full((2, 2), var, dtype="<f8").tobytes()).decode()
+    rewrite_with_valid_checksum(path, lambda p: p["parameters"]["var"].update(base64=raw))
+    with pytest.raises(ModelFormatError, match="float range"):
+        load_model(path)
+
+
 def test_load_rejects_non_utf8_file(tmp_path):
     path = fitted_model_file(tmp_path)
     path.write_bytes(b"\xff\xfe" + path.read_bytes())

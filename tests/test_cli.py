@@ -9,7 +9,7 @@ import tempfile
 import types
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from isagram import classify, cli, codec, corpus, vectorize
@@ -689,6 +689,7 @@ LINES = st.one_of(
 FLAGS = st.one_of(
     st.tuples(st.just("mnb"), st.just("--alpha"), st.floats(1e-3, 10.0) | st.floats()),
     st.tuples(st.just("lr"), st.just("--learning-rate"), st.floats(1e-3, 10.0) | st.floats()),
+    st.tuples(st.just("gnb"), st.just("--var-floor"), st.floats(1e-12, 1.0) | st.floats()),
     st.tuples(  # a Python int may lie beyond float range
         st.just("knn"), st.just("--k"), st.integers(1, 5) | st.integers() | st.just(10**400)
     ),
@@ -712,6 +713,8 @@ def run_quietly(argv, stdin=b""):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lines=st.lists(LINES, max_size=8), two_classes=st.booleans(), flags=FLAGS)
+@example(lines=[], two_classes=True, flags=("gnb", "--var-floor", 1e308))  # log(2 pi var) overflows
+@example(lines=[], two_classes=True, flags=("gnb", "--var-floor", 5e-324))  # 1/var overflows
 def test_arbitrary_jsonl_and_flag_values_exit_0_1_or_2(lines, two_classes, flags):
     data = b"\n".join(TWO_CLASSES * two_classes + lines) + b"\n"
     model, flag, value = flags

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isagram import codec, vectorize
+from isagram.corpus import Document
 from isagram.rng import SplitMix64
 
 PAYLOAD = bytes.fromhex("d743d444d644d845")
@@ -159,7 +160,8 @@ def test_batch_digits_spell_the_unpadded_text(enc, payloads):
     assert offsets.tolist() == np.cumsum([0] + [len(t) for t in texts]).tolist()
     assert "".join(enc.alphabet[d] for d in digits.tolist()) == "".join(texts)
     # the feature codes are the characters' ranks in the sorted alphabet
-    ranks, rank_offsets = vectorize._flat_codes(payloads, enc)
+    docs = [Document(p, None, str(i)) for i, p in enumerate(payloads)]
+    ranks, rank_offsets = vectorize._terms(docs, enc)
     ordered = sorted(enc.alphabet)
     assert ranks.tolist() == [ordered.index(ch) for ch in "".join(texts)]
     assert np.array_equal(rank_offsets, offsets)

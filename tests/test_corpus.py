@@ -33,6 +33,23 @@ def test_corpus_invariants():
         Corpus([Document(b"\x01", "a", "x"), Document(b"\x02", "b", "x")])
 
 
+def test_subset_takes_checked_documents_and_keeps_its_own_labels(monkeypatch):
+    c = make_corpus(3)
+    with monkeypatch.context() as m:  # a subset is not checked again
+        m.setattr(Corpus, "__init__", lambda self, docs: pytest.fail("subset re-validated"))
+        sub = c.subset([4, 0, 1])
+        only_a = c.subset([0, 2])
+        empty = c.subset([])
+    assert sub.documents == (c.documents[4], c.documents[0], c.documents[1])
+    assert sub.label_set == ("a", "b") and only_a.label_set == ("a",)
+    assert len(empty) == 0 and empty.label_set == ()
+    # built directly, a corpus still checks its documents
+    with pytest.raises(CorpusError, match="duplicate"):
+        Corpus(sub.documents + only_a.documents)
+    with pytest.raises(CorpusError, match="empty payload"):
+        Corpus(only_a.documents + (Document(b"", "a", "new"),))
+
+
 def test_corpus_is_immutable_enough():
     c = make_corpus(2)
     assert isinstance(c.documents, tuple)

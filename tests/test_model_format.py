@@ -10,6 +10,7 @@ from isagram import classify, corpus
 from isagram.classify import ClassifierSpec, load_model, predict_corpus, save_model
 from isagram.cli import main
 from isagram.evaluate import FeatureConfig, fit_model
+from test_classify import rewrite_with_valid_checksum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +28,51 @@ def test_format1_fixture_reproduces_recorded_output(capsys, name):
     assert list(model.labels) == expected["labels"]
     scores = predict_corpus(model, corpus.ingest(queries))[1]
     assert [[float(v).hex() for v in row] for row in scores] == expected["scores"]
+
+
+# train flags of the format-2.0 fixtures, besides --corpus train.jsonl --seed 3
+FORMAT2_FLAGS = {
+    "format2_hist_byte_cnb": ["--features", "hist-byte", "--model", "cnb"],
+    "format2_tfidf_char_base16_knn": ["--features", "tfidf-char", "--encoding", "base16",
+                                      "--ngram3-cap", "32", "--model", "knn"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT2_FLAGS))
+def test_format2_fixture_is_read_resaved_and_retrained_unchanged(capsys, tmp_path, name):
+    # written by an earlier 2.0 writer; see fixtures/README.md
+    model_path, queries = FIXTURES / f"{name}.model", FIXTURES / "queries.jsonl"
+    assert main(["predict", "--model", str(model_path), "--input", str(queries)]) == 0
+    assert capsys.readouterr().out == (FIXTURES / f"{name}.predict.txt").read_text()
+    save_model(load_model(model_path), tmp_path / "resaved.model")
+    assert (tmp_path / "resaved.model").read_bytes() == model_path.read_bytes()
+    assert main(["train", "--corpus", str(FIXTURES / "train.jsonl"), *FORMAT2_FLAGS[name],
+                 "--seed", "3", "--out", str(tmp_path / "retrained.model")]) == 0
+    assert (tmp_path / "retrained.model").read_bytes() == model_path.read_bytes()
+
+
+@pytest.mark.parametrize("source, schema_edit", [
+    ("format2_tfidf_char_base16_knn", {"encoding": "base32"}),
+    ("format2_tfidf_char_base16_knn", {"method": "tfidf_byte", "encoding": None}),
+    ("tfidf-byte", {"method": "tfidf_char", "encoding": "base16"}),
+], ids=["base16-vocabulary-under-base32", "char-vocabulary-under-byte",
+        "byte-vocabulary-under-base16"])
+def test_vocabulary_whose_alphabet_is_not_the_encodings_is_refused(
+    capsys, tmp_path, source, schema_edit
+):
+    # the alphabet follows from the encoding; the copy in the file must agree with it
+    path = tmp_path / "edited.model"
+    if source == "tfidf-byte":
+        assert main(["train", "--corpus", str(FIXTURES / "train.jsonl"), "--features", source,
+                     "--model", "cnb", "--out", str(path)]) == 0
+    else:
+        path.write_bytes((FIXTURES / f"{source}.model").read_bytes())
+    rewrite_with_valid_checksum(path, lambda p: p["schema"].update(schema_edit))
+    with pytest.raises(classify.ModelFormatError, match="alphabet"):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--input", str(FIXTURES / "queries.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed model body")
 
 
 FEATURES = [FeatureConfig("tfidf_byte"), FeatureConfig("tfidf_char", classify.codec.BASE16),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from isagram import codec
 from isagram.corpus import Document
 from isagram.rng import SplitMix64
-from isagram.vectorize import encode_batch, gram_table
+from isagram.vectorize import _terms, gram_table
 
 
 def naive_grams(doc, n):
@@ -44,8 +44,8 @@ def test_extract_matches_naive_oracle():
 
 def test_extract_works_on_text():
     # b"\xab\xab" is the Base16 text "ABAB"; char grams count its symbols
-    batch = encode_batch([Document(b"\xab\xab", None, "q")], codec.BASE16)
-    _, code, count = batch.table(2)
+    flat, offsets = _terms([Document(b"\xab\xab", None, "q")], codec.BASE16)
+    _, code, count = gram_table(flat, offsets, 2, 16)
     alphabet = sorted(codec.BASE16.alphabet)
     pairs = zip(code.tolist(), count.tolist())
     grams = {alphabet[c // 16] + alphabet[c % 16]: k for c, k in pairs}

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +23,13 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
         assert getattr(isagram, name) is not None, name
     for name in ("learning_curve", "simplified_endianness", "count_subsequence"):
         assert name not in isagram.__all__ and not hasattr(isagram, name)
+    for name in ("GramBatch", "encode_batch"):
+        assert not hasattr(isagram.vectorize, name)
+    # the alphabet and its size come from the schema's encoding alone
+    vocab = isagram.vectorize.GramVocabulary
+    fields = [f.name for f in dataclasses.fields(vocab)]
+    assert fields == ["codes3", "idf1", "idf2", "idf3", "fit_corpus_size"]
+    assert not hasattr(vocab, "dimension") and not hasattr(vocab, "gram3_terms")
 
 
 def modules_after_fresh_import():

@@ -17,6 +17,7 @@ from isagram.evaluate import FeatureConfig
 from isagram.sparse import CsrRows
 from isagram.vectorize import (
     FeatureSchema,
+    gram3_terms,
     gram_table,
     terms3_to_codes,
     transform_rows,
@@ -448,16 +449,16 @@ def test_schema_validation():
 
 def test_gram3_terms_roundtrip():
     byte_schema = FeatureConfig("tfidf_byte").fit_transform(rand_corpus(81, 6, 20))[0]
-    terms = byte_schema.vocab.gram3_terms()
+    terms = gram3_terms(byte_schema.vocab.codes3, byte_schema.alphabet)
     assert all(len(t) == 6 for t in terms)
     back = terms3_to_codes(terms, None)
     assert np.array_equal(back, byte_schema.vocab.codes3)
 
     char_config = FeatureConfig("tfidf_char", codec.BASE32)
     char_schema = char_config.fit_transform(rand_corpus(82, 6, 20))[0]
-    terms = char_schema.vocab.gram3_terms()
+    terms = gram3_terms(char_schema.vocab.codes3, char_schema.alphabet)
     assert all(len(t) == 3 for t in terms)
-    back = terms3_to_codes(terms, char_schema.vocab.alphabet)
+    back = terms3_to_codes(terms, char_schema.alphabet)
     assert np.array_equal(back, char_schema.vocab.codes3)
 
 
