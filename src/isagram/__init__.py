@@ -18,7 +18,7 @@ from .corpus import (
     split,
     write_jsonl,
 )
-from .classify import ClassifierSpec, TrainedModel, load_model, predict, save_model
+from .classify import ClassifierSpec, TrainedModel, load_model, save_model
 from .evaluate import FeatureConfig, accuracy, fit_model, run_comparison
 from .vectorize import FeatureSchema, transform_rows
 
@@ -44,7 +44,6 @@ __all__ = [
     "get_encoding",
     "ingest",
     "load_model",
-    "predict",
     "run_comparison",
     "save_model",
     "split",

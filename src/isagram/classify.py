@@ -1,4 +1,4 @@
-"""From-scratch multiclass classifiers over feature vectors, plus persistence.
+"""From-scratch multiclass classifiers over CSR feature rows, plus persistence.
 
 Seven kinds share one fit/predict interface: multinomial and complement
 naive Bayes (smoothed, treating feature values as nonnegative masses),
@@ -6,13 +6,14 @@ Gaussian naive Bayes (variance floor), k-nearest-neighbors, averaged
 multiclass perceptron, softmax regression by mini-batch gradient descent,
 and one-vs-rest linear SVM by stochastic subgradient descent.
 
-Every kind fits and scores on CSR rows at a cost that follows the stored
-values, never densifying a feature matrix: Gaussian NB treats each class's
-implicit zeros in closed form, the SGD kinds touch only the columns a row or
-batch stores and carry weight decay as a scalar scale (Pegasos for the SVM,
-Shalev-Shwartz et al. 2007; lazy L2 for softmax, Bottou 2010), and KNN
-multiplies only values that share a column, taking the columns that many
-rows store through one dense product.
+Every kind fits and scores on CSR rows, its one input type, at a cost that
+follows the stored values, never densifying a feature matrix: Gaussian NB
+treats each class's implicit zeros in closed form, the SGD kinds touch only
+the columns a row or batch stores and carry weight decay as a scalar scale
+(Pegasos for the SVM, Shalev-Shwartz et al. 2007; lazy L2 for softmax,
+Bottou 2010), and KNN multiplies only values that share a column, taking the
+columns that many rows store through one dense product.  ``predict_corpus``
+is the one function that scores documents.
 
 The two gradient-trained linear kinds carry no intercept term: decision
 values are then exactly equivariant under a common rescaling of the inputs
@@ -38,9 +39,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import codec, vectorize
-from .corpus import Corpus, CorpusError, Document
+from .corpus import CorpusError, Document
 from .rng import SplitMix64, derive_seed
-from .sparse import CsrRows, as_rows
+from .sparse import CsrRows
 
 FORMAT_VERSION = "2.0"
 
@@ -109,14 +110,13 @@ class TrainedModel:
 
 def fit_vectors(
     spec: ClassifierSpec,
-    X: np.ndarray | CsrRows,
+    X: CsrRows,
     labels: Sequence[str],
     schema: Optional[vectorize.FeatureSchema] = None,
 ) -> TrainedModel:
-    """Fit on precomputed feature rows, dense or CSR (rows align with ``labels``)."""
+    """Fit on precomputed CSR feature rows (rows align with ``labels``)."""
     if any(label is None for label in labels):
         raise CorpusError("training corpus contains unlabeled documents")
-    X = as_rows(X)
     if X.shape[0] != len(labels):
         raise ValueError("X must be 2-D with one row per label")
     if not np.isfinite(X.data).all():
@@ -329,24 +329,8 @@ _FITTERS = {
 # prediction
 # ---------------------------------------------------------------------------
 
-def predict(model: TrainedModel, doc: Document) -> tuple[str, np.ndarray]:
-    """(label, per-label scores aligned with model.labels) for one document."""
-    if model.schema is None:
-        raise ValueError("model carries no feature schema; use predict_vector")
-    labels, scores = predict_matrix(model, vectorize.transform_rows(model.schema, [doc]))
-    return labels[0], scores[0]
-
-
-def predict_vector(model: TrainedModel, x: np.ndarray) -> tuple[str, np.ndarray]:
-    scores = predict_matrix(model, np.asarray(x, dtype=np.float64)[None, :])[1][0]
-    return model.labels[int(np.argmax(scores))], scores
-
-
-def predict_matrix(
-    model: TrainedModel, X: np.ndarray | CsrRows
-) -> tuple[list[str], np.ndarray]:
-    """Batch prediction on dense or CSR rows; (labels, scores of shape (n, |labels|))."""
-    X = as_rows(X)
+def predict_matrix(model: TrainedModel, X: CsrRows) -> tuple[list[str], np.ndarray]:
+    """Batch prediction on CSR rows; (labels, scores of shape (n, |labels|))."""
     if not np.isfinite(X.data).all():
         raise ValueError("feature matrix contains NaN or inf")
     # every kind has one (labels or training rows) x features parameter
@@ -358,10 +342,11 @@ def predict_matrix(
     return winners, scores
 
 
-def predict_corpus(model: TrainedModel, corpus: Corpus) -> tuple[list[str], np.ndarray]:
+def predict_corpus(model: TrainedModel, docs: Sequence[Document]) -> tuple[list[str], np.ndarray]:
+    """``predict_matrix`` on the feature rows of ``docs``, a Corpus or a list."""
     if model.schema is None:
-        raise ValueError("model carries no feature schema; use predict_matrix")
-    return predict_matrix(model, vectorize.transform_rows(model.schema, corpus.documents))
+        raise ModelFormatError("model carries no feature schema; it cannot read documents")
+    return predict_matrix(model, vectorize.transform_rows(model.schema, docs))
 
 
 def _score_mnb(model, X):
@@ -540,6 +525,10 @@ def _decode_csr(record) -> CsrRows:
 
 def _check_parameters(kind: str, labels: tuple, schema, parameters: dict) -> None:
     """ValueError unless ``parameters`` are the arrays ``kind`` scores with."""
+    # as fit_vectors writes them; ties go to the smaller label by this order
+    if not (all(isinstance(label, str) for label in labels) and len(set(labels)) >= 2
+            and list(labels) == sorted(set(labels))):
+        raise ValueError(f"labels must be 2 or more sorted distinct strings, got {list(labels)!r}")
     axes = _PARAMETER_AXES[kind]
     if set(parameters) != set(axes):
         raise ValueError(f"{kind} parameters must be {sorted(axes)}, got {sorted(parameters)}")

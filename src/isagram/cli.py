@@ -156,12 +156,10 @@ def _input_docs(args) -> Iterator[Document]:
 
 def cmd_predict(args) -> int:
     model = classify.load_model(args.model)
-    if model.schema is None:
-        raise classify.ModelFormatError("model carries no feature schema; it cannot read documents")
     docs = _input_docs(args)
     # fixed batches keep memory flat however long the input is
     while batch := list(itertools.islice(docs, PREDICT_BATCH)):
-        labels, scores = classify.predict_matrix(model, vectorize.transform_rows(model.schema, batch))
+        labels, scores = classify.predict_corpus(model, batch)
         for doc, label, row in zip(batch, labels, scores):
             print(f"{doc.id}\t{label}\t{float(row.max())!r}")
     return EXIT_OK
@@ -354,7 +352,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except SystemExit:
         raise
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:  # safety net
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

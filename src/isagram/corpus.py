@@ -328,7 +328,7 @@ def _generate_doc(rng, spec, prefixes, cum, imm, target_len) -> bytearray:
     return buf
 
 
-def default_isa_specs(n_classes: int = 12, noise_zero_prob: float = 0.0) -> list[SyntheticIsaSpec]:
+def default_isa_specs(n_classes: int = 12) -> list[SyntheticIsaSpec]:
     """Desk-scale pseudo-ISA suite used by the CLI generator and the tests.
 
     All classes share one opcode byte pool with identical per-byte marginals;
@@ -352,7 +352,6 @@ def default_isa_specs(n_classes: int = 12, noise_zero_prob: float = 0.0) -> list
                 instruction_width=2 if k >= 8 else 4,
                 opcode_distribution=dist,
                 endianness="little" if k % 2 == 0 else "big",
-                noise_zero_prob=noise_zero_prob,
                 immediate_small_value_prob=0.3,
             )
         )

@@ -71,8 +71,3 @@ class CsrRows:
         out = np.zeros(self.shape, dtype=np.float64)
         out[self.row_ids(), self.indices] = self.data
         return out
-
-
-def as_rows(X) -> CsrRows:
-    """CSR rows unchanged; anything else is read as a dense 2-D matrix."""
-    return X if isinstance(X, CsrRows) else CsrRows.from_dense(X)

@@ -21,6 +21,7 @@ from isagram import classify, cli, codec, corpus, evaluate, vectorize
 from isagram.classify import ClassifierSpec
 from isagram.corpus import Corpus, Document, SplitSpec, SyntheticIsaSpec
 from isagram.evaluate import FeatureConfig
+from isagram.sparse import CsrRows
 
 
 def report(capsys, n, ok, detail, t0):
@@ -226,15 +227,19 @@ def test_criterion_5_endianness_signal(capsys):
         train, test = corpus.split(c, spec, repeat)
         schema = FeatureConfig("tfidf_byte").fit_transform(train)[0]
         lo, hi = 256, 256 + 65536  # the 2-gram block
-        Xtr = vectorize.transform_rows(schema, train.documents).toarray()[:, lo:hi]
-        Xte = vectorize.transform_rows(schema, test.documents).toarray()[:, lo:hi]
+        Xtr, Xte = (
+            CsrRows.from_dense(vectorize.transform_rows(schema, part.documents).toarray()[:, lo:hi])
+            for part in (train, test)
+        )
         model = classify.fit_vectors(knn, Xtr, [d.label for d in train])
         got, _ = classify.predict_matrix(model, Xte)
         gram2_accs.append(evaluate.accuracy(list(zip([d.label for d in test], got))))
 
         hist = vectorize.FeatureSchema("hist_endian_byte")
-        Htr = vectorize.transform_rows(hist, train.documents).toarray()[:, :256]
-        Hte = vectorize.transform_rows(hist, test.documents).toarray()[:, :256]
+        Htr, Hte = (
+            CsrRows.from_dense(vectorize.transform_rows(hist, part.documents).toarray()[:, :256])
+            for part in (train, test)
+        )
         model = classify.fit_vectors(knn, Htr, [d.label for d in train])
         got, _ = classify.predict_matrix(model, Hte)
         hist_accs.append(evaluate.accuracy(list(zip([d.label for d in test], got))))
@@ -255,7 +260,7 @@ def test_criterion_6_classifier_sanity(capsys):
 
     rng = np.random.default_rng(6)
     centers = np.array([[2.0, 0.2, 0.2], [0.2, 2.0, 0.2], [0.2, 0.2, 2.0]])
-    X = np.vstack([c + rng.uniform(-0.1, 0.1, size=(60, 3)) for c in centers])
+    X = CsrRows.from_dense(np.vstack([c + rng.uniform(-0.1, 0.1, size=(60, 3)) for c in centers]))
     labels = [f"c{i}" for i in range(3) for _ in range(60)]
     for kind in classify.KINDS:
         model = classify.fit_vectors(ClassifierSpec(kind, seed=1), X, labels)
@@ -266,25 +271,25 @@ def test_criterion_6_classifier_sanity(capsys):
 
     # hand-derived closed forms on micro-corpora
     mnb = classify.fit_vectors(
-        ClassifierSpec("mnb"), np.array([[2.0, 0.0], [0.0, 2.0]]), ["A", "B"]
+        ClassifierSpec("mnb"), CsrRows.from_dense([[2.0, 0.0], [0.0, 2.0]]), ["A", "B"]
     )
-    _, scores = classify.predict_vector(mnb, np.array([1.0, 0.0]))
+    _, [scores] = classify.predict_matrix(mnb, CsrRows.from_dense([[1.0, 0.0]]))
     want = (math.log(0.5) + math.log(0.75), math.log(0.5) + math.log(0.25))
     if max(abs(scores[0] - want[0]), abs(scores[1] - want[1])) > 1e-9:
         problems.append("mnb posterior diverges from hand computation")
     cnb = classify.fit_vectors(
-        ClassifierSpec("cnb"), np.array([[2.0, 0.0], [0.0, 2.0]]), ["A", "B"]
+        ClassifierSpec("cnb"), CsrRows.from_dense([[2.0, 0.0], [0.0, 2.0]]), ["A", "B"]
     )
     flp = cnb.parameters["feature_log_prob"]
     if abs(flp[0, 0] - math.log(4.0)) > 1e-9 or abs(flp[0, 1] - math.log(4.0 / 3.0)) > 1e-9:
         problems.append("cnb complement weights diverge from hand computation")
     gnb = classify.fit_vectors(
         ClassifierSpec("gnb"),
-        np.array([[0.0, 0.0], [2.0, 1.0], [10.0, 0.0], [12.0, 1.0]]),
+        CsrRows.from_dense([[0.0, 0.0], [2.0, 1.0], [10.0, 0.0], [12.0, 1.0]]),
         ["A", "A", "B", "B"],
     )
     q = np.array([2.0, 0.0])
-    _, gs = classify.predict_vector(gnb, q)
+    _, [gs] = classify.predict_matrix(gnb, CsrRows.from_dense([q]))
     for c_idx in range(2):
         manual = math.log(0.5)
         for j in range(2):

@@ -15,7 +15,6 @@ from isagram.classify import (
     load_model,
     predict_corpus,
     predict_matrix,
-    predict_vector,
     save_model,
 )
 from isagram.corpus import Corpus, Document
@@ -31,7 +30,7 @@ def cloud_3class(n_per_class=60, seed=0):
         [c + rng.uniform(-0.1, 0.1, size=(n_per_class, 3)) for c in centers]
     )
     labels = [f"c{i}" for i in range(3) for _ in range(n_per_class)]
-    return X, labels
+    return CsrRows.from_dense(X), labels
 
 
 def same_parameter(a, b) -> bool:
@@ -50,32 +49,32 @@ def same_parameter(a, b) -> bool:
 # ---------------------------------------------------------------------------
 
 def test_mnb_hand_computation():
-    X = np.array([[2.0, 0.0], [0.0, 2.0]])
+    X = CsrRows.from_dense([[2.0, 0.0], [0.0, 2.0]])
     model = fit_vectors(ClassifierSpec("mnb"), X, ["A", "B"])
     log_lik = model.parameters["log_likelihood"]
     assert math.exp(log_lik[0, 0]) == pytest.approx(0.75, abs=1e-12)
     assert math.exp(log_lik[1, 0]) == pytest.approx(0.25, abs=1e-12)
-    label, scores = predict_vector(model, np.array([1.0, 0.0]))
+    [label], [scores] = predict_matrix(model, CsrRows.from_dense([[1.0, 0.0]]))
     assert label == "A"
     assert scores[0] == pytest.approx(math.log(0.5) + math.log(0.75), abs=1e-12)
     assert scores[1] == pytest.approx(math.log(0.5) + math.log(0.25), abs=1e-12)
 
 
 def test_cnb_hand_computation():
-    X = np.array([[2.0, 0.0], [0.0, 2.0]])
+    X = CsrRows.from_dense([[2.0, 0.0], [0.0, 2.0]])
     model = fit_vectors(ClassifierSpec("cnb"), X, ["A", "B"])
     flp = model.parameters["feature_log_prob"]
     # complement of A has masses (0,2); +1 smoothing -> (1,3), total 4
     assert flp[0, 0] == pytest.approx(math.log(4.0), abs=1e-12)
     assert flp[0, 1] == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
     assert flp[1, 0] == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
-    label, scores = predict_vector(model, np.array([1.0, 0.0]))
+    [label], [scores] = predict_matrix(model, CsrRows.from_dense([[1.0, 0.0]]))
     assert label == "A"
     assert scores[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_gnb_hand_computation():
-    X = np.array([[0.0, 0.0], [2.0, 1.0], [10.0, 0.0], [12.0, 1.0]])
+    X = CsrRows.from_dense([[0.0, 0.0], [2.0, 1.0], [10.0, 0.0], [12.0, 1.0]])
     y = ["A", "A", "B", "B"]
     model = fit_vectors(ClassifierSpec("gnb"), X, y)
     p = model.parameters
@@ -91,7 +90,7 @@ def test_gnb_hand_computation():
         return out
 
     q = np.array([2.0, 0.0])
-    label, scores = predict_vector(model, q)
+    [label], [scores] = predict_matrix(model, CsrRows.from_dense([q]))
     assert label == "A"
     for c in range(2):
         assert scores[c] == pytest.approx(manual(q, c), rel=1e-12)
@@ -99,9 +98,9 @@ def test_gnb_hand_computation():
 
 def test_gnb_variance_floor():
     X = np.array([[1.0, 5.0], [1.0, 6.0], [2.0, 5.0], [2.0, 6.0]])
-    model = fit_vectors(ClassifierSpec("gnb"), X, ["A", "A", "B", "B"])
+    model = fit_vectors(ClassifierSpec("gnb"), CsrRows.from_dense(X), ["A", "A", "B", "B"])
     assert model.parameters["var"][0, 0] == 1e-9  # zero-variance feature floored
-    _, scores = predict_vector(model, X[0])
+    _, [scores] = predict_matrix(model, CsrRows.from_dense(X[:1]))
     assert np.isfinite(scores).all()
 
 
@@ -110,18 +109,18 @@ def test_gnb_variance_floor():
 # ---------------------------------------------------------------------------
 
 def test_knn_memorizes_with_k1():
-    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    X = CsrRows.from_dense([[1.0, 0.0], [0.0, 1.0]])
     model = fit_vectors(ClassifierSpec("knn", {"k": 1}), X, ["A", "B"])
     assert predict_matrix(model, X)[0] == ["A", "B"]
-    _, scores = predict_vector(model, np.array([1.0, 0.0]))
+    _, [scores] = predict_matrix(model, CsrRows.from_dense([[1.0, 0.0]]))
     assert scores[0] == 1.0  # one vote at distance 0
     assert scores[1] == -1.0  # no votes inside the neighborhood
 
 
 def test_knn_vote_tie_breaks_by_mean_distance():
-    X = np.array([[0.0, 0.0], [2.0, 0.0]])
+    X = CsrRows.from_dense([[0.0, 0.0], [2.0, 0.0]])
     model = fit_vectors(ClassifierSpec("knn", {"k": 2}), X, ["A", "B"])
-    label, scores = predict_vector(model, np.array([0.5, 0.0]))
+    [label], [scores] = predict_matrix(model, CsrRows.from_dense([[0.5, 0.0]]))
     assert label == "A"
     assert scores[0] == pytest.approx(1.0 - 0.5 / 1.5, abs=1e-12)
     assert scores[1] == pytest.approx(1.0 - 1.5 / 2.5, abs=1e-12)
@@ -129,16 +128,17 @@ def test_knn_vote_tie_breaks_by_mean_distance():
 
 def test_knn_empty_training_row_is_at_the_query_norm():
     X = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 4.0, 1.0]])
-    model = fit_vectors(ClassifierSpec("knn", {"k": 4}), X, ["A", "B", "A", "C"])
+    rows = CsrRows.from_dense(X)
+    model = fit_vectors(ClassifierSpec("knn", {"k": 4}), rows, ["A", "B", "A", "C"])
     Q = np.array([[0.5, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 0.0]])
     want = oracle.score_knn(oracle.fit_knn({}, X, model.parameters["train_label_idx"], 3), Q, 4, 3)
-    assert np.allclose(predict_matrix(model, Q)[1], want, rtol=0, atol=1e-12)
+    assert np.allclose(predict_matrix(model, CsrRows.from_dense(Q))[1], want, rtol=0, atol=1e-12)
 
 
 def test_knn_k_clamped_to_train_size():
-    X = np.array([[0.0], [0.1], [5.0]])
+    X = CsrRows.from_dense([[0.0], [0.1], [5.0]])
     model = fit_vectors(ClassifierSpec("knn", {"k": 50}), X, ["A", "A", "B"])
-    assert predict_vector(model, np.array([0.05]))[0] == "A"
+    assert predict_matrix(model, CsrRows.from_dense([[0.05]]))[0] == ["A"]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_margin_separated_two_class_convergence():
     b = np.column_stack([-1.5 + rng.uniform(-0.5, 0.5, 100), rng.uniform(-0.5, 0.5, 100)])
     # exhaustive margin check along the separating axis: gap >= 0.5
     assert a[:, 0].min() - b[:, 0].max() >= 0.5
-    X = np.vstack([a, b])
+    X = CsrRows.from_dense(np.vstack([a, b]))
     labels = ["pos"] * 100 + ["neg"] * 100
     for kind in ("perceptron", "linear_svm"):
         model = fit_vectors(ClassifierSpec(kind, seed=2), X, labels)
@@ -171,7 +171,7 @@ def test_margin_separated_two_class_convergence():
 @pytest.mark.parametrize("kind", classify.KINDS)
 def test_fit_is_deterministic(kind):
     rng = np.random.default_rng(3)
-    X = np.abs(rng.normal(size=(40, 6)))
+    X = CsrRows.from_dense(np.abs(rng.normal(size=(40, 6))))
     labels = [f"c{i % 3}" for i in range(40)]
     m1 = fit_vectors(ClassifierSpec(kind, seed=9), X, labels)
     m2 = fit_vectors(ClassifierSpec(kind, seed=9), X, labels)
@@ -182,7 +182,7 @@ def test_fit_is_deterministic(kind):
 
 def test_seed_changes_sgd_trajectories():
     rng = np.random.default_rng(4)
-    X = rng.normal(size=(60, 5))
+    X = CsrRows.from_dense(rng.normal(size=(60, 5)))
     labels = [f"c{i % 3}" for i in range(60)]
     for kind in ("perceptron", "softmax_lr", "linear_svm"):
         m1 = fit_vectors(ClassifierSpec(kind, seed=0), X, labels)
@@ -197,21 +197,23 @@ def test_scale_consistency_is_exact_at_c2():
     X = rng.normal(size=(60, 8))
     labels = [f"c{i % 3}" for i in range(60)]
     Q = rng.normal(size=(20, 8))
+    rows, rows2 = CsrRows.from_dense(X), CsrRows.from_dense(2.0 * X)
+    queries, queries2 = CsrRows.from_dense(Q), CsrRows.from_dense(2.0 * Q)
     lr = fit_vectors(
-        ClassifierSpec("softmax_lr", {"learning_rate": 0.1, "l2": 1e-4}, seed=6), X, labels
+        ClassifierSpec("softmax_lr", {"learning_rate": 0.1, "l2": 1e-4}, seed=6), rows, labels
     )
     lr_scaled = fit_vectors(
         ClassifierSpec("softmax_lr", {"learning_rate": 0.1 / 4, "l2": 1e-4 * 4}, seed=6),
-        2.0 * X,
+        rows2,
         labels,
     )
-    assert np.array_equal(predict_matrix(lr, Q)[1], predict_matrix(lr_scaled, 2.0 * Q)[1])
+    assert np.array_equal(predict_matrix(lr, queries)[1], predict_matrix(lr_scaled, queries2)[1])
 
-    svm = fit_vectors(ClassifierSpec("linear_svm", {"lam": 1e-4}, seed=6), X, labels)
+    svm = fit_vectors(ClassifierSpec("linear_svm", {"lam": 1e-4}, seed=6), rows, labels)
     svm_scaled = fit_vectors(
-        ClassifierSpec("linear_svm", {"lam": 1e-4 * 4}, seed=6), 2.0 * X, labels
+        ClassifierSpec("linear_svm", {"lam": 1e-4 * 4}, seed=6), rows2, labels
     )
-    assert np.array_equal(predict_matrix(svm, Q)[1], predict_matrix(svm_scaled, 2.0 * Q)[1])
+    assert np.array_equal(predict_matrix(svm, queries)[1], predict_matrix(svm_scaled, queries2)[1])
 
 
 def test_exact_tie_predicts_smaller_label():
@@ -221,7 +223,7 @@ def test_exact_tie_predicts_smaller_label():
         labels=("arm", "mips"),
         parameters={"weights": np.zeros((2, 3))},
     )
-    label, scores = predict_vector(model, np.array([1.0, 2.0, 3.0]))
+    [label], [scores] = predict_matrix(model, CsrRows.from_dense([[1.0, 2.0, 3.0]]))
     assert label == "arm"
     assert scores[0] == scores[1] == 0.0
 
@@ -246,24 +248,25 @@ def test_spec_validation():
 
 
 def test_fit_input_validation():
-    X = np.eye(3)
+    X = CsrRows.from_dense(np.eye(3))
     with pytest.raises(ValueError):
         fit_vectors(ClassifierSpec("mnb"), X, ["A", "A", "A"])  # single label
-    bad = X.copy()
+    bad = np.eye(3)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        fit_vectors(ClassifierSpec("mnb"), bad, ["A", "B", "C"])
+        fit_vectors(ClassifierSpec("mnb"), CsrRows.from_dense(bad), ["A", "B", "C"])
+    negative = CsrRows.from_dense(-np.eye(3))
     with pytest.raises(ValueError):
-        fit_vectors(ClassifierSpec("mnb"), -X, ["A", "B", "C"])  # negative mass
+        fit_vectors(ClassifierSpec("mnb"), negative, ["A", "B", "C"])  # negative mass
     with pytest.raises(ValueError):
-        fit_vectors(ClassifierSpec("cnb"), -X, ["A", "B", "C"])
+        fit_vectors(ClassifierSpec("cnb"), negative, ["A", "B", "C"])
     with pytest.raises(ValueError):
         fit_vectors(ClassifierSpec("mnb"), X, ["A", "B"])  # shape mismatch
     model = fit_vectors(ClassifierSpec("gnb"), X, ["A", "B", "C"])
     with pytest.raises(ValueError):
-        predict_matrix(model, np.array([[np.nan, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        classify.predict(model, Document(b"\x01", None, "q"))  # no schema stored
+        predict_matrix(model, CsrRows.from_dense([[np.nan, 0.0, 0.0]]))
+    with pytest.raises(ModelFormatError, match="no feature schema"):
+        predict_corpus(model, [Document(b"\x01", None, "q")])  # no schema stored
 
 
 @pytest.mark.parametrize("kind", classify.KINDS)
@@ -272,7 +275,7 @@ def test_predict_rejects_rows_of_another_width(kind):
     model = fit_vectors(ClassifierSpec(kind), X, labels)
     for width in (2, 4):
         with pytest.raises(ValueError, match="columns"):
-            predict_matrix(model, np.ones((1, width)))
+            predict_matrix(model, CsrRows.from_dense(np.ones((1, width))))
 
 
 def test_fit_rejects_unlabeled_corpus():
@@ -411,22 +414,22 @@ def test_save_load_roundtrip_every_kind(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", classify.KINDS)
 def test_corpus_and_dense_matrix_paths_bit_identical(kind):
-    # fit_model/predict_corpus take CSR rows, fit_vectors/predict_matrix a dense
-    # matrix; both must give the very same parameters and scores
+    # fit_model/predict_corpus build their own CSR rows; fit_vectors/predict_matrix
+    # on rows rebuilt from a dense matrix must give the very same parameters and scores
     train, held = synth_corpora()
     hp = {"epochs": 3} if "epochs" in classify.DEFAULT_HYPERPARAMETERS[kind] else {}
     spec = ClassifierSpec(kind, hp, seed=4)
     via_corpus = fit_model(FeatureConfig("tfidf_byte", ngram3_cap=200), spec, train)
     schema = via_corpus.schema
-    dense = vectorize.transform_rows(schema, train.documents).toarray()
-    via_matrix = fit_vectors(spec, dense, [d.label for d in train], schema=schema)
+    rows = CsrRows.from_dense(vectorize.transform_rows(schema, train.documents).toarray())
+    via_matrix = fit_vectors(spec, rows, [d.label for d in train], schema=schema)
     assert via_corpus.labels == via_matrix.labels
     assert sorted(via_corpus.parameters) == sorted(via_matrix.parameters)
     for name, value in via_corpus.parameters.items():
         assert same_parameter(value, via_matrix.parameters[name]), name
     corpus_labels, corpus_scores = predict_corpus(via_corpus, held)
     matrix_labels, matrix_scores = predict_matrix(
-        via_corpus, vectorize.transform_rows(schema, held.documents).toarray()
+        via_corpus, CsrRows.from_dense(vectorize.transform_rows(schema, held.documents).toarray())
     )
     assert corpus_labels == matrix_labels
     assert np.array_equal(corpus_scores, matrix_scores)
@@ -458,8 +461,21 @@ def test_save_load_char_mode_schema(tmp_path):
     )
 
 
+def test_predict_corpus_takes_a_corpus_or_a_list_of_documents():
+    train, held = synth_corpora()
+    model = fit_model(FeatureConfig("tfidf_byte", ngram3_cap=200), ClassifierSpec("cnb"), train)
+    corpus_labels, corpus_scores = predict_corpus(model, held)
+    list_labels, list_scores = predict_corpus(model, list(held.documents))
+    assert list_labels == corpus_labels
+    assert np.array_equal(list_scores, corpus_scores)
+    rows = vectorize.transform_rows(model.schema, train.documents)
+    bare = fit_vectors(ClassifierSpec("cnb"), rows, [d.label for d in train])
+    with pytest.raises(ModelFormatError, match="no feature schema"):
+        predict_corpus(bare, held)
+
+
 def fitted_model_file(tmp_path, kind="mnb"):
-    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    X = CsrRows.from_dense([[1.0, 0.0], [0.0, 1.0]])
     model = fit_vectors(ClassifierSpec(kind), X, ["A", "B"])
     path = tmp_path / "m.model"
     save_model(model, path)
@@ -577,10 +593,42 @@ def test_load_rejects_malformed_body(tmp_path, mutate):
         load_model(path)
 
 
+def labelled_model_file(tmp_path):
+    """A cnb model on hist_endian_byte rows of classes isa00 and isa01, which predict can run."""
+    train = corpus.generate_synthetic(corpus.default_isa_specs(2), 4, 40, seed=5)
+    path = tmp_path / "cnb.model"
+    save_model(fit_model(FeatureConfig("hist_endian_byte"), ClassifierSpec("cnb"), train), path)
+    return path
+
+
+def no_labels(p):
+    p["labels"] = []
+    p["parameters"]["feature_log_prob"].update(base64="", shape=[0, 260])  # fits 0 labels
+
+
+# checksum-valid edits of labelled_model_file's labels, which fit_vectors
+# always writes as 2 or more distinct strings in sorted order
+MALFORMED_LABELS = {
+    "empty": no_labels,
+    "unsorted": lambda p: p.update(labels=["isa01", "isa00"]),
+    "duplicated": lambda p: p.update(labels=["isa00", "isa00"]),
+    "not-strings": lambda p: p.update(labels=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LABELS))
+def test_load_rejects_labels_fit_vectors_does_not_write(tmp_path, case):
+    path = labelled_model_file(tmp_path)
+    assert load_model(path).labels == ("isa00", "isa01")
+    rewrite_with_valid_checksum(path, MALFORMED_LABELS[case])
+    with pytest.raises(ModelFormatError, match="malformed model body.*labels"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("var", [1e308, 5e-324], ids=["log-overflows", "inverse-overflows"])
 def test_gnb_whose_scores_can_leave_float_range_is_refused(tmp_path, var):
     # log(2 pi var) overflows at 1e308, 1/var at a subnormal variance
-    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    X = CsrRows.from_dense([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(corpus.CorpusError, match="float range"):
         fit_vectors(ClassifierSpec("gnb", {"var_floor": var}), X, ["A", "B"])
     path = fitted_model_file(tmp_path, "gnb")

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from isagram import classify, cli, codec, corpus, vectorize
 from isagram.cli import main
-from test_classify import MALFORMED_ARRAYS, fitted_model_file, rewrite_with_valid_checksum
+from test_classify import (
+    MALFORMED_ARRAYS,
+    MALFORMED_LABELS,
+    fitted_model_file,
+    labelled_model_file,
+    rewrite_with_valid_checksum,
+)
 
 
 def run(capsys, *argv):
@@ -437,6 +443,16 @@ def test_predict_malformed_model_arrays_is_data_error(capsys, tmp_path, case):
     assert out == "" and err.startswith("data error: malformed model body")
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_LABELS))
+def test_predict_malformed_model_labels_is_data_error(capsys, tmp_path, case):
+    model_path = labelled_model_file(tmp_path)
+    rewrite_with_valid_checksum(model_path, MALFORMED_LABELS[case])
+    corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
+    rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
+    assert rc == 2
+    assert out == "" and err.startswith("data error: malformed model body")
+
+
 def test_predict_with_a_model_without_schema_is_data_error(capsys, tmp_path):
     model_path = fitted_model_file(tmp_path)  # fit_vectors on bare rows
     corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
@@ -738,6 +754,19 @@ def test_arbitrary_jsonl_and_flag_values_exit_0_1_or_2(lines, two_classes, flags
 # ---------------------------------------------------------------------------
 # top-level argument handling
 # ---------------------------------------------------------------------------
+
+def test_fault_inside_a_subcommand_is_internal_error(capsys, monkeypatch, knn_model):
+    corpus_path, model_path, _ = knn_model
+
+    def broken(schema, docs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(vectorize, "transform_rows", broken)
+    rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
+    assert rc == 3
+    assert err.startswith("internal error: injected fault") and "Traceback" not in err
+    assert out == ""
+
 
 def test_unknown_subcommand(capsys):
     rc, _, err = run(capsys, "discombobulate")

@@ -21,10 +21,14 @@ def test_package_version_matches_pyproject():
 def test_public_names_resolve_and_deleted_ones_are_gone():
     for name in isagram.__all__:
         assert getattr(isagram, name) is not None, name
-    for name in ("learning_curve", "simplified_endianness", "count_subsequence"):
+    for name in ("learning_curve", "simplified_endianness", "count_subsequence", "predict"):
         assert name not in isagram.__all__ and not hasattr(isagram, name)
     for name in ("GramBatch", "encode_batch"):
         assert not hasattr(isagram.vectorize, name)
+    # classifiers take CSR rows only, and predict_corpus alone scores documents
+    for name in ("predict", "predict_vector"):
+        assert not hasattr(isagram.classify, name)
+    assert not hasattr(isagram.sparse, "as_rows")
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]
