@@ -4,7 +4,9 @@ Seven kinds share one fit/predict interface: multinomial and complement
 naive Bayes (smoothed, treating feature values as nonnegative masses),
 Gaussian naive Bayes (variance floor), k-nearest-neighbors, averaged
 multiclass perceptron, softmax regression by mini-batch gradient descent,
-and one-vs-rest linear SVM by stochastic subgradient descent.
+and one-vs-rest linear SVM by stochastic subgradient descent.  A kind is
+one row of ``_KINDS``: its hyperparameter defaults, its fit and score
+functions, and the axes of each parameter it stores.
 
 Every kind fits and scores on CSR rows, its one input type, at a cost that
 follows the stored values, never densifying a feature matrix: Gaussian NB
@@ -34,7 +36,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,18 +46,6 @@ from .rng import SplitMix64, derive_seed
 from .sparse import CsrRows
 
 FORMAT_VERSION = "2.0"
-
-KINDS = ("mnb", "cnb", "gnb", "knn", "perceptron", "softmax_lr", "linear_svm")
-
-DEFAULT_HYPERPARAMETERS: dict[str, dict[str, float | int]] = {
-    "mnb": {"alpha": 1.0},
-    "cnb": {"alpha": 1.0},
-    "gnb": {"var_floor": 1e-9},
-    "knn": {"k": 3},
-    "perceptron": {"epochs": 20},
-    "softmax_lr": {"learning_rate": 0.1, "epochs": 50, "batch_size": 32, "l2": 1e-4},
-    "linear_svm": {"lam": 1e-4, "epochs": 50},
-}
 
 
 class ModelFormatError(ValueError):
@@ -81,19 +71,17 @@ class ClassifierSpec:
 
 
 def _validate_hyperparameters(kind: str, hp: dict) -> None:
-    positive = {
-        "alpha", "var_floor", "learning_rate", "l2", "lam",
-    }
     for key, value in hp.items():
         # Python ints are unbounded and always finite; isfinite would overflow on a huge one
         if not isinstance(value, numbers.Real) or not (
             isinstance(value, numbers.Integral) or math.isfinite(value)
         ):
             raise ValueError(f"{kind}: {key} must be a finite number, got {value!r}")
-        if key in positive and not value > 0:
+        if isinstance(DEFAULT_HYPERPARAMETERS[kind][key], int):  # a count
+            if int(value) < 1:
+                raise ValueError(f"{kind}: {key} must be >= 1, got {value}")
+        elif not value > 0:  # a rate or a scale
             raise ValueError(f"{kind}: {key} must be > 0, got {value}")
-        if key in ("epochs", "batch_size", "k") and int(value) < 1:
-            raise ValueError(f"{kind}: {key} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +115,7 @@ def fit_vectors(
     index = {label: i for i, label in enumerate(classes)}
     y = np.asarray([index[label] for label in labels], dtype=np.int64)
     with np.errstate(all="ignore"):  # a diverged fit is reported just below
-        params = _FITTERS[spec.kind](spec, X, y, len(classes))
+        params = _KINDS[spec.kind].fit(spec, X, y, len(classes))
     for name, value in params.items():
         if isinstance(value, np.ndarray) and not np.isfinite(value).all():
             raise CorpusError(f"{spec.kind} fit diverged: {name} is not finite")
@@ -314,17 +302,6 @@ def _fit_linear_svm(spec, X, y, n_classes):
     return {"weights": W}
 
 
-_FITTERS = {
-    "mnb": _fit_mnb,
-    "cnb": _fit_cnb,
-    "gnb": _fit_gnb,
-    "knn": _fit_knn,
-    "perceptron": _fit_perceptron,
-    "softmax_lr": _fit_softmax_lr,
-    "linear_svm": _fit_linear_svm,
-}
-
-
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -333,11 +310,11 @@ def predict_matrix(model: TrainedModel, X: CsrRows) -> tuple[list[str], np.ndarr
     """Batch prediction on CSR rows; (labels, scores of shape (n, |labels|))."""
     if not np.isfinite(X.data).all():
         raise ValueError("feature matrix contains NaN or inf")
-    # every kind has one (labels or training rows) x features parameter
-    width = next(v.shape[1] for v in model.parameters.values() if len(v.shape) == 2)
+    row = _KINDS[model.spec.kind]
+    width = next(model.parameters[n].shape[a.index("D")] for n, a in row.axes.items() if "D" in a)
     if X.shape[1] != width:
         raise ValueError(f"feature rows have {X.shape[1]} columns, the model takes {width}")
-    scores = _SCORERS[model.spec.kind](model, X)
+    scores = row.score(model, X)
     winners = [model.labels[i] for i in np.argmax(scores, axis=1)]
     return winners, scores
 
@@ -456,34 +433,34 @@ def _score_perceptron(model, X):
     return _dot_t(X, p["weights"]) + p["bias"][None, :]
 
 
-_SCORERS = {
-    "mnb": _score_mnb,
-    "cnb": _score_cnb,
-    "gnb": _score_gnb,
-    "knn": _score_knn,
-    "perceptron": _score_perceptron,
-    "softmax_lr": _score_linear,
-    "linear_svm": _score_linear,
+class _Kind(NamedTuple):
+    """What one classifier kind is; ``_KINDS`` holds one row per kind."""
+    defaults: dict[str, float | int]  # hyperparameters: an int one counts, a float one scales
+    fit: Callable
+    score: Callable
+    axes: dict[str, str]  # each stored parameter's axes: L labels, D features, N training rows
+
+
+_KINDS = {
+    "mnb": _Kind({"alpha": 1.0}, _fit_mnb, _score_mnb, {"log_prior": "L", "log_likelihood": "LD"}),
+    "cnb": _Kind({"alpha": 1.0}, _fit_cnb, _score_cnb, {"feature_log_prob": "LD"}),
+    "gnb": _Kind({"var_floor": 1e-9}, _fit_gnb, _score_gnb,
+                 {"log_prior": "L", "mean": "LD", "var": "LD"}),
+    "knn": _Kind({"k": 3}, _fit_knn, _score_knn, {"train_matrix": "ND", "train_label_idx": "N"}),
+    "perceptron": _Kind({"epochs": 20}, _fit_perceptron, _score_perceptron,
+                        {"weights": "LD", "bias": "L"}),
+    "softmax_lr": _Kind({"learning_rate": 0.1, "epochs": 50, "batch_size": 32, "l2": 1e-4},
+                        _fit_softmax_lr, _score_linear, {"weights": "LD"}),
+    "linear_svm": _Kind({"lam": 1e-4, "epochs": 50}, _fit_linear_svm, _score_linear,
+                        {"weights": "LD"}),
 }
+KINDS = tuple(_KINDS)
+DEFAULT_HYPERPARAMETERS = {name: kind.defaults for name, kind in _KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
-
-_INT_PARAMS = {"train_label_idx"}
-
-# each kind's parameters and their axes: L labels, D features, N training rows
-_PARAMETER_AXES = {
-    "mnb": {"log_prior": "L", "log_likelihood": "LD"},
-    "cnb": {"feature_log_prob": "LD"},
-    "gnb": {"log_prior": "L", "mean": "LD", "var": "LD"},
-    "knn": {"train_matrix": "ND", "train_label_idx": "N"},
-    "perceptron": {"weights": "LD", "bias": "L"},
-    "softmax_lr": {"weights": "LD"},
-    "linear_svm": {"weights": "LD"},
-}
-
 
 def _encode_array(a: np.ndarray) -> dict:
     """An int64 or float64 array as base64 of its little-endian bytes, with its shape."""
@@ -529,7 +506,7 @@ def _check_parameters(kind: str, labels: tuple, schema, parameters: dict) -> Non
     if not (all(isinstance(label, str) for label in labels) and len(set(labels)) >= 2
             and list(labels) == sorted(set(labels))):
         raise ValueError(f"labels must be 2 or more sorted distinct strings, got {list(labels)!r}")
-    axes = _PARAMETER_AXES[kind]
+    axes = _KINDS[kind].axes
     if set(parameters) != set(axes):
         raise ValueError(f"{kind} parameters must be {sorted(axes)}, got {sorted(parameters)}")
     sizes = {"L": len(labels)}
@@ -583,7 +560,7 @@ def _schema_from_dict(data, read_array) -> Optional[vectorize.FeatureSchema]:
             idf1=read_array(vd["idf1"], "<f8"),
             idf2=read_array(vd["idf2"], "<f8"),
             idf3=read_array(vd["idf3"], "<f8"),
-            fit_corpus_size=int(vd["fit_corpus_size"]),
+            fit_corpus_size=vd["fit_corpus_size"],
         )
     return vectorize.FeatureSchema(
         method=data["method"], encoding=encoding, vocab=vocab,
@@ -641,14 +618,14 @@ def load_model(path) -> TrainedModel:
     else:
         read_array, read_csr = _decode_array, _decode_csr
     try:  # a checksum-valid body may still lack a field or hold a bad value
-        spec = ClassifierSpec(
-            kind=payload["kind"],
-            hyperparameters=payload["hyperparameters"],
-            seed=int(payload["seed"]),
-        )
-        parameters = {
-            k: read_csr(v) if k == "train_matrix"
-            else read_array(v, "<i8" if k in _INT_PARAMS else "<f8")
+        # only the JSON types save_model writes, so a loaded model re-saves to its own bytes
+        if type(payload["seed"]) is not int or not isinstance(payload["labels"], list):
+            raise ValueError("seed must be a JSON integer and labels a JSON list")
+        spec = ClassifierSpec(payload["kind"], payload["hyperparameters"], payload["seed"])
+        axes = _KINDS[spec.kind].axes
+        parameters = {  # an undeclared name reads as float64, for _check_parameters to refuse
+            k: read_csr(v) if axes.get(k) == "ND"
+            else read_array(v, "<i8" if axes.get(k) == "N" else "<f8")
             for k, v in payload["parameters"].items()
         }
         model = TrainedModel(

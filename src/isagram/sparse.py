@@ -28,10 +28,7 @@ class CsrRows:
 
     @classmethod
     def from_triples(cls, rows, cols, values, shape) -> "CsrRows":
-        """Rows from (row, col, value) triples with distinct (row, col) pairs."""
-        keep = values != 0
-        if not keep.all():  # copy only when there is something to drop
-            rows, cols, values = rows[keep], cols[keep], values[keep]
+        """Rows from (row, col, value) triples of nonzero values at distinct (row, col) pairs."""
         order = np.argsort(rows.astype(np.int64) * shape[1] + cols)  # keys are distinct
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])

@@ -121,6 +121,12 @@ class FeatureSchema:
             v, b = self.vocab, self.base
             if (v.idf1.shape, v.idf2.shape, v.idf3.shape) != ((b,), (b * b,), v.codes3.shape):
                 raise ValueError("IDF vector lengths do not match the vocabulary")
+            d = v.fit_corpus_size
+            if type(d) is not int or d < 1:
+                raise ValueError(f"fit_corpus_size must be an integer >= 1, got {d!r}")
+            top = np.log(d + 1.0) + 1.0  # what _idf gives a gram in none of the d documents
+            if not all(((idf >= 1.0) & (idf <= top)).all() for idf in (v.idf1, v.idf2, v.idf3)):
+                raise ValueError(f"IDF values must lie in [1, log({d} + 1) + 1]")
 
     @property
     def is_tfidf(self) -> bool:

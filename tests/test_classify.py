@@ -247,6 +247,21 @@ def test_spec_validation():
     assert spec.hyperparameters["alpha"] == 2.0
 
 
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for kind in classify.KINDS for name in classify.DEFAULT_HYPERPARAMETERS[kind]
+])
+def test_hyperparameter_rule_follows_the_type_of_its_default(kind, name):
+    # an integer default is a count (>= 1), a float default a rate or scale (> 0)
+    if isinstance(classify.DEFAULT_HYPERPARAMETERS[kind][name], int):
+        refused, smallest, rule = [0], 1, ">= 1"
+    else:
+        refused, smallest, rule = [0.0, -1.0], 5e-324, "> 0"
+    for value in refused:
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+            ClassifierSpec(kind, {name: value})
+    assert ClassifierSpec(kind, {name: smallest}).hyperparameters[name] == smallest
+
+
 def test_fit_input_validation():
     X = CsrRows.from_dense(np.eye(3))
     with pytest.raises(ValueError):
@@ -593,11 +608,13 @@ def test_load_rejects_malformed_body(tmp_path, mutate):
         load_model(path)
 
 
-def labelled_model_file(tmp_path):
-    """A cnb model on hist_endian_byte rows of classes isa00 and isa01, which predict can run."""
+def labelled_model_file(tmp_path, kind="cnb", names=("isa00", "isa01")):
+    """A model on hist_endian_byte rows of two classes called ``names``, which predict can run."""
     train = corpus.generate_synthetic(corpus.default_isa_specs(2), 4, 40, seed=5)
-    path = tmp_path / "cnb.model"
-    save_model(fit_model(FeatureConfig("hist_endian_byte"), ClassifierSpec("cnb"), train), path)
+    rename = dict(zip(train.label_set, names))
+    train = Corpus([Document(d.payload, rename[d.label], d.id) for d in train])
+    path = tmp_path / f"{kind}.model"
+    save_model(fit_model(FeatureConfig("hist_endian_byte"), ClassifierSpec(kind), train), path)
     return path
 
 
@@ -622,6 +639,24 @@ def test_load_rejects_labels_fit_vectors_does_not_write(tmp_path, case):
     assert load_model(path).labels == ("isa00", "isa01")
     rewrite_with_valid_checksum(path, MALFORMED_LABELS[case])
     with pytest.raises(ModelFormatError, match="malformed model body.*labels"):
+        load_model(path)
+
+
+# checksum-valid edits of an mnb model of classes A and B to JSON types that
+# save_model never writes: such a model would not re-save to the file's bytes
+MISTYPED_FIELDS = {
+    "labels-a-string": lambda p: p.update(labels="AB"),
+    "seed-a-float": lambda p: p.update(seed=3.7),
+    "seed-a-bool": lambda p: p.update(seed=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_load_rejects_fields_of_a_type_save_model_does_not_write(tmp_path, case):
+    path = labelled_model_file(tmp_path, "mnb", ("A", "B"))
+    assert load_model(path).labels == ("A", "B")
+    rewrite_with_valid_checksum(path, MISTYPED_FIELDS[case])
+    with pytest.raises(ModelFormatError, match="malformed model body.*JSON"):
         load_model(path)
 
 

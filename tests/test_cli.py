@@ -17,6 +17,7 @@ from isagram.cli import main
 from test_classify import (
     MALFORMED_ARRAYS,
     MALFORMED_LABELS,
+    MISTYPED_FIELDS,
     fitted_model_file,
     labelled_model_file,
     rewrite_with_valid_checksum,
@@ -447,6 +448,16 @@ def test_predict_malformed_model_arrays_is_data_error(capsys, tmp_path, case):
 def test_predict_malformed_model_labels_is_data_error(capsys, tmp_path, case):
     model_path = labelled_model_file(tmp_path)
     rewrite_with_valid_checksum(model_path, MALFORMED_LABELS[case])
+    corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
+    rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
+    assert rc == 2
+    assert out == "" and err.startswith("data error: malformed model body")
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_predict_with_mistyped_model_fields_is_data_error(capsys, tmp_path, case):
+    model_path = labelled_model_file(tmp_path, "mnb", ("A", "B"))
+    rewrite_with_valid_checksum(model_path, MISTYPED_FIELDS[case])
     corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
     rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
     assert rc == 2

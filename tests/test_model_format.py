@@ -1,5 +1,6 @@
 """Model files: earlier formats still load, saving is canonical, size follows nnz."""
 
+import base64
 import json
 from pathlib import Path
 
@@ -72,6 +73,43 @@ def test_vocabulary_whose_alphabet_is_not_the_encodings_is_refused(
         load_model(path)
     capsys.readouterr()
     assert main(["predict", "--model", str(path), "--input", str(FIXTURES / "queries.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed model body")
+
+
+def set_idf1(value):
+    """An edit that sets every entry of the schema's idf1 to ``value``."""
+    def edit(p):
+        record = p["schema"]["vocab"]["idf1"]
+        raw = np.full(record["shape"], value, dtype="<f8").tobytes()
+        record["base64"] = base64.b64encode(raw).decode("ascii")
+    return edit
+
+
+# checksum-valid edits of a tfidf-byte cnb vocabulary that _idf cannot have written:
+# each IDF entry lies in [1, log(D + 1) + 1] for D = fit_corpus_size, an integer >= 1
+OUT_OF_RANGE_VOCABULARIES = {
+    "idf-zero": set_idf1(0.0),
+    "idf-huge": set_idf1(1e200),
+    "idf-negative": set_idf1(-1.0),
+    "corpus-size-zero": lambda p: p["schema"]["vocab"].update(fit_corpus_size=0),
+    "corpus-size-a-float": lambda p: p["schema"]["vocab"].update(fit_corpus_size=24.5),
+    "corpus-size-a-bool": lambda p: p["schema"]["vocab"].update(fit_corpus_size=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_VOCABULARIES))
+def test_vocabulary_that_idf_cannot_have_written_is_refused(capsys, tmp_path, case):
+    path, queries = tmp_path / "cnb.model", FIXTURES / "queries.jsonl"
+    assert main(["train", "--corpus", str(FIXTURES / "train.jsonl"), "--features", "tfidf-byte",
+                 "--model", "cnb", "--out", str(path)]) == 0
+    vocab = load_model(path).schema.vocab
+    # a fresh fit reaches the upper bound exactly, with a 2-gram in none of its documents
+    assert vocab.idf2.max() == np.log(vocab.fit_corpus_size + 1.0) + 1.0
+    rewrite_with_valid_checksum(path, OUT_OF_RANGE_VOCABULARIES[case])
+    with pytest.raises(classify.ModelFormatError, match="malformed model body"):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--input", str(queries)]) == 2
     assert capsys.readouterr().err.startswith("data error: malformed model body")
 
 

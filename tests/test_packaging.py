@@ -8,10 +8,9 @@ import pytest
 
 import isagram
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-
 
 def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         project = tomllib.load(fh)["project"]
@@ -29,6 +28,9 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     for name in ("predict", "predict_vector"):
         assert not hasattr(isagram.classify, name)
     assert not hasattr(isagram.sparse, "as_rows")
+    # each classifier kind is one row of classify._KINDS
+    for name in ("_FITTERS", "_SCORERS", "_PARAMETER_AXES", "_INT_PARAMS"):
+        assert not hasattr(isagram.classify, name)
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]
@@ -55,3 +57,21 @@ def test_import_loads_neither_scipy_nor_numba():
 
 def test_import_loads_no_ngram_module():
     assert "isagram.ngram" not in modules_after_fresh_import()
+
+
+def test_kinds_and_their_defaults_keep_their_values_and_order():
+    assert isagram.classify.KINDS == (
+        "mnb", "cnb", "gnb", "knn", "perceptron", "softmax_lr", "linear_svm")
+    defaults = {
+        "mnb": {"alpha": 1.0},
+        "cnb": {"alpha": 1.0},
+        "gnb": {"var_floor": 1e-9},
+        "knn": {"k": 3},
+        "perceptron": {"epochs": 20},
+        "softmax_lr": {"learning_rate": 0.1, "epochs": 50, "batch_size": 32, "l2": 1e-4},
+        "linear_svm": {"lam": 1e-4, "epochs": 50},
+    }
+    got = isagram.classify.DEFAULT_HYPERPARAMETERS
+    assert list(got.items()) == list(defaults.items())
+    for kind, hp in defaults.items():  # types and order of each kind's names too
+        assert [(n, type(v)) for n, v in got[kind].items()] == [(n, type(v)) for n, v in hp.items()]
