@@ -30,7 +30,7 @@ decision values for the linear kinds.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import hashlib
 import json
 import math
@@ -463,10 +463,10 @@ DEFAULT_HYPERPARAMETERS = {name: kind.defaults for name, kind in _KINDS.items()}
 # ---------------------------------------------------------------------------
 
 def _encode_array(a: np.ndarray) -> dict:
-    """An int64 or float64 array as base64 of its little-endian bytes, with its shape."""
+    """An int64 or float64 array as its little-endian bytes, which ``_json_chunks`` writes
+    as base64, with its shape."""
     dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
-    raw = np.ascontiguousarray(a, dtype=dtype).tobytes()
-    return {"base64": base64.b64encode(raw).decode("ascii"), "dtype": dtype, "shape": list(a.shape)}
+    return {"base64": np.ascontiguousarray(a, dtype=dtype), "dtype": dtype, "shape": list(a.shape)}
 
 
 def _encode_parameter(value) -> dict:
@@ -487,8 +487,10 @@ def _decode_array(record, dtype: str) -> np.ndarray:
     if record["dtype"] != dtype:
         raise ValueError(f"expected a {dtype} array, got {record['dtype']!r}")
     shape = _decode_shape(record["shape"])
+    # strict mode is b64decode(validate=True) without its ASCII-encoded copy of the text
+    raw = binascii.a2b_base64(record["base64"], strict_mode=True)
     # frombuffer and reshape raise ValueError unless the bytes fill the shape exactly
-    a = np.frombuffer(base64.b64decode(record["base64"], validate=True), dtype=dtype).reshape(shape)
+    a = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if dtype == "<f8" and not np.isfinite(a).all():
         raise ValueError("array holds NaN or inf")
     return a
@@ -568,9 +570,37 @@ def _schema_from_dict(data, read_array) -> Optional[vectorize.FeatureSchema]:
     )
 
 
-def save_model(model: TrainedModel, path) -> None:
-    """Write one canonical JSON line, arrays as base64 binary, plus a trailing sha256 line."""
-    payload = {
+_BASE64_CHUNK = 3 << 18  # bytes of an array encoded at a time: 768 KiB in, 1 MiB out
+
+
+def _json_chunks(value):
+    """``json.dumps(value, sort_keys=True)`` as UTF-8 chunks, an array as its base64 string.
+
+    Base64 needs no JSON escaping, so an array's text goes out as encoded and
+    the line is never built whole.
+    """
+    if isinstance(value, np.ndarray):
+        yield b'"'
+        raw = value.reshape(-1).view(np.uint8)
+        # whole 3-byte groups per chunk, so the chunks' base64 joins without padding;
+        # b2a_base64 allocates twice its input before trimming, so it never sees a whole array
+        for start in range(0, len(raw), _BASE64_CHUNK):
+            yield binascii.b2a_base64(raw[start:start + _BASE64_CHUNK], newline=False)
+        yield b'"'
+    elif isinstance(value, dict):
+        sep = b"{"
+        for key in sorted(value):
+            yield sep + json.dumps(key).encode("utf-8") + b": "
+            yield from _json_chunks(value[key])
+            sep = b", "
+        yield b"}" if value else b"{}"
+    else:
+        yield json.dumps(value, sort_keys=True).encode("utf-8")
+
+
+def _payload(model: TrainedModel) -> dict:
+    """The model file's JSON object, each array left as the array ``_json_chunks`` encodes."""
+    return {
         "format_version": FORMAT_VERSION,
         "kind": model.spec.kind,
         "hyperparameters": model.spec.hyperparameters,
@@ -579,10 +609,19 @@ def save_model(model: TrainedModel, path) -> None:
         "schema": _schema_to_dict(model.schema),
         "parameters": {k: _encode_parameter(v) for k, v in model.parameters.items()},
     }
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def save_model(model: TrainedModel, path) -> None:
+    """Write one canonical JSON line, arrays as base64 binary, plus a trailing sha256 line.
+
+    The line is written and hashed chunk by chunk, so no copy of it is held.
+    """
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(b"\nsha256:" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n")
+        for chunk in _json_chunks(_payload(model)):
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(b"\nsha256:" + digest.hexdigest().encode("ascii") + b"\n")
 
 
 def load_model(path) -> TrainedModel:
@@ -593,18 +632,26 @@ def load_model(path) -> TrainedModel:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    body, _, tail = raw.rstrip(b"\r\n").rpartition(b"\n")
-    body = body.removesuffix(b"\r")  # as a text-mode reader would, accept CRLF
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
-    if not tail.startswith(b"sha256:"):
-        raise ModelFormatError("missing checksum line; file truncated or corrupt")
-    if hashlib.sha256(body).hexdigest().encode("ascii") != tail[len(b"sha256:"):]:
-        raise ModelFormatError("checksum mismatch; file corrupt")
+    end = len(raw)
+    while end and raw[end - 1] in b"\r\n":  # rstrip, without copying the body
+        end -= 1
+    cut = raw.rfind(b"\n", 0, end)
+    tail, stop = raw[cut + 1:end], max(cut, 0)
+    if stop and raw[stop - 1] == ord("\r"):  # as a text-mode reader would, accept CRLF
+        stop -= 1
+    with memoryview(raw)[:stop] as body:
+        try:
+            text = str(body, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
+        if not tail.startswith(b"sha256:"):
+            raise ModelFormatError("missing checksum line; file truncated or corrupt")
+        if hashlib.sha256(body).hexdigest().encode("ascii") != tail[len(b"sha256:"):]:
+            raise ModelFormatError("checksum mismatch; file corrupt")
+    del raw  # from here the text, then the parsed strings, hold the body
     try:
         payload = json.loads(text)
+        del text
         version = str(payload.get("format_version", ""))
     except (json.JSONDecodeError, AttributeError) as exc:
         raise ModelFormatError(f"unparsable model body: {exc}") from exc

@@ -88,13 +88,26 @@ def gram3_terms(codes3: np.ndarray, alphabet: Optional[str]) -> list[str]:
 
 
 def terms3_to_codes(terms: Sequence[str], alphabet: Optional[str]) -> np.ndarray:
-    """Inverse of ``gram3_terms``, for model deserialization."""
-    b = 256 if alphabet is None else len(alphabet)
-    codes = []
-    for t in terms:
-        syms = bytes.fromhex(t) if alphabet is None else [alphabet.index(ch) for ch in t]
-        codes.append((syms[0] * b + syms[1]) * b + syms[2])
-    return np.asarray(codes, dtype=np.int64)
+    """Inverse of ``gram3_terms``, for model deserialization.
+
+    Raises ValueError (TypeError for a term that is not a string) unless the
+    terms are distinct and each is written as ``gram3_terms`` writes one: six
+    lowercase hex digits, or three symbols of ``alphabet``.
+    """
+    # a byte 3-gram's code is its six hex digits read in base 16
+    digits, width = ("0123456789abcdef", 6) if alphabet is None else (alphabet, 3)
+    text = "".join(terms)  # TypeError unless every term is a string
+    if any(len(t) != width for t in terms):
+        raise ValueError(f"3-gram terms must be {width} characters long")
+    value = np.full(128, -1, dtype=np.int64)  # every alphabet is ASCII
+    value[np.frombuffer(digits.encode("ascii"), dtype=np.uint8)] = np.arange(len(digits))
+    symbols = value[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if (symbols < 0).any():
+        raise ValueError("3-gram terms hold a character outside the alphabet")
+    codes = symbols.reshape(-1, width) @ len(digits) ** np.arange(width - 1, -1, -1)
+    if np.unique(codes).size != codes.size:
+        raise ValueError("3-gram terms repeat")
+    return codes
 
 
 def _check_method(method: str, encoding: Optional[codec.Encoding]) -> None:
