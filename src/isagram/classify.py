@@ -326,13 +326,16 @@ def predict_corpus(model: TrainedModel, docs: Sequence[Document]) -> tuple[list[
     return predict_matrix(model, vectorize.transform_rows(model.schema, docs))
 
 
-def _score_mnb(model, X):
-    p = model.parameters
-    return p["log_prior"][None, :] + _dot_t(X, p["log_likelihood"])
-
-
-def _score_cnb(model, X):
-    return _dot_t(X, model.parameters["feature_log_prob"])
+def _linear(weights: str, bias: Optional[str] = None) -> Callable:
+    """The scorer of a linear kind: X @ W.T from the stored ``weights``, plus the
+    stored per-label ``bias`` if the kind has one."""
+    def score(model, X):
+        p = model.parameters
+        out = _dot_t(X, p[weights])
+        if bias is not None:
+            out += p[bias]
+        return out
+    return score
 
 
 def _score_gnb(model, X):
@@ -424,15 +427,6 @@ def _score_knn(model, X):
     return scores
 
 
-def _score_linear(model, X):
-    return _dot_t(X, model.parameters["weights"])
-
-
-def _score_perceptron(model, X):
-    p = model.parameters
-    return _dot_t(X, p["weights"]) + p["bias"][None, :]
-
-
 class _Kind(NamedTuple):
     """What one classifier kind is; ``_KINDS`` holds one row per kind."""
     defaults: dict[str, float | int]  # hyperparameters: an int one counts, a float one scales
@@ -442,16 +436,18 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "mnb": _Kind({"alpha": 1.0}, _fit_mnb, _score_mnb, {"log_prior": "L", "log_likelihood": "LD"}),
-    "cnb": _Kind({"alpha": 1.0}, _fit_cnb, _score_cnb, {"feature_log_prob": "LD"}),
+    "mnb": _Kind({"alpha": 1.0}, _fit_mnb, _linear("log_likelihood", "log_prior"),
+                 {"log_prior": "L", "log_likelihood": "LD"}),
+    "cnb": _Kind({"alpha": 1.0}, _fit_cnb, _linear("feature_log_prob"),
+                 {"feature_log_prob": "LD"}),
     "gnb": _Kind({"var_floor": 1e-9}, _fit_gnb, _score_gnb,
                  {"log_prior": "L", "mean": "LD", "var": "LD"}),
     "knn": _Kind({"k": 3}, _fit_knn, _score_knn, {"train_matrix": "ND", "train_label_idx": "N"}),
-    "perceptron": _Kind({"epochs": 20}, _fit_perceptron, _score_perceptron,
+    "perceptron": _Kind({"epochs": 20}, _fit_perceptron, _linear("weights", "bias"),
                         {"weights": "LD", "bias": "L"}),
     "softmax_lr": _Kind({"learning_rate": 0.1, "epochs": 50, "batch_size": 32, "l2": 1e-4},
-                        _fit_softmax_lr, _score_linear, {"weights": "LD"}),
-    "linear_svm": _Kind({"lam": 1e-4, "epochs": 50}, _fit_linear_svm, _score_linear,
+                        _fit_softmax_lr, _linear("weights"), {"weights": "LD"}),
+    "linear_svm": _Kind({"lam": 1e-4, "epochs": 50}, _fit_linear_svm, _linear("weights"),
                         {"weights": "LD"}),
 }
 KINDS = tuple(_KINDS)

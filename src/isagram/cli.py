@@ -53,41 +53,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_feature(token: str, default_encoding, ngram3_cap, normalize):
-    name, _, inline_enc = token.partition(":")
+def _feature(token: str, args) -> vectorize.FeatureConfig:
+    """One --features token, ``method`` or ``method:encoding``; a char method
+    without an inline encoding takes --encoding."""
+    name, _, encoding = token.partition(":")
     if name not in FEATURE_ALIASES:
         raise UsageError(
             f"unknown feature method {name!r}; expected one of {sorted(FEATURE_ALIASES)}"
         )
     method = FEATURE_ALIASES[name]
-    encoding = None
-    if method.endswith("_char"):
-        enc_name = inline_enc or default_encoding
-        if not enc_name:
-            raise UsageError(f"feature {name!r} requires --encoding (or '{name}:<encoding>')")
-        try:
-            encoding = codec.get_encoding(enc_name)
-        except KeyError as exc:
-            raise UsageError(str(exc)) from exc
-    elif inline_enc:
-        raise UsageError(f"feature {name!r} does not take an encoding")
-    try:
-        return evaluate.FeatureConfig(method, encoding, ngram3_cap, normalize)
-    except ValueError as exc:  # --ngram3-cap out of range
-        raise UsageError(str(exc)) from exc
-
-
-def _flag_hyperparameters(args) -> dict:
-    """The hyperparameter flags given, in flag order, under classify's names."""
-    names = {n for hp in classify.DEFAULT_HYPERPARAMETERS.values() for n in hp}
-    return {k: v for k, v in vars(args).items() if k in names and v is not None}
-
-
-def _classifier_spec(args, model_alias: str, hp: dict):
-    try:
-        return classify.ClassifierSpec(
-            kind=MODEL_ALIASES[model_alias], hyperparameters=hp, seed=args.seed
+    encoding = encoding or (args.encoding if method.endswith("_char") else None)
+    try:  # FeatureConfig refuses a char method without an encoding and a byte one with one
+        return vectorize.FeatureConfig(
+            method, encoding and codec.get_encoding(encoding), args.ngram3_cap,
+            not args.no_normalize,
         )
+    except (KeyError, ValueError) as exc:
+        raise UsageError(exc.args[0]) from exc
+
+
+def _specs(args, models: list[str]) -> list[classify.ClassifierSpec]:
+    """One spec per model name.  Each hyperparameter flag given goes to the
+    listed kinds that take it; a flag that none of them takes is refused."""
+    for name in models:
+        if name not in MODEL_ALIASES:
+            raise UsageError(f"unknown model {name!r}; expected one of {sorted(MODEL_ALIASES)}")
+    takes = [classify.DEFAULT_HYPERPARAMETERS[MODEL_ALIASES[name]] for name in models]
+    names = {n for hp in classify.DEFAULT_HYPERPARAMETERS.values() for n in hp}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    for key in flags:  # in flag order
+        if not any(key in hp for hp in takes):
+            raise UsageError(f"none of the models {models} has hyperparameter {key!r}")
+    try:
+        return [
+            classify.ClassifierSpec(
+                MODEL_ALIASES[name], {k: v for k, v in flags.items() if k in hp}, args.seed
+            )
+            for name, hp in zip(models, takes)
+        ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -124,10 +127,8 @@ def cmd_codec(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _parse_feature(
-        args.features, args.encoding, args.ngram3_cap, not args.no_normalize
-    )
-    spec = _classifier_spec(args, args.model, _flag_hyperparameters(args))
+    config = _feature(args.features, args)
+    (spec,) = _specs(args, [args.model])
     corp = _ingest(args)
     model = evaluate.fit_model(config, spec, corp)
     classify.save_model(model, args.out)
@@ -166,27 +167,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    methods = [
-        _parse_feature(tok.strip(), args.encoding, args.ngram3_cap, not args.no_normalize)
-        for tok in args.features.split(",")
-        if tok.strip()
-    ]
-    model_names = [tok.strip() for tok in args.models.split(",") if tok.strip()]
-    for name in model_names:
-        if name not in MODEL_ALIASES:
-            raise UsageError(f"unknown model {name!r}; expected one of {sorted(MODEL_ALIASES)}")
-    if not methods or not model_names:
+    methods = [_feature(tok.strip(), args) for tok in args.features.split(",") if tok.strip()]
+    models = [tok.strip() for tok in args.models.split(",") if tok.strip()]
+    if not methods or not models:
         raise UsageError("need at least one feature method and one model")
-    # each flag goes to the listed kinds that take it; a flag none takes is an error
-    hp = _flag_hyperparameters(args)
-    takes = {name: classify.DEFAULT_HYPERPARAMETERS[MODEL_ALIASES[name]] for name in model_names}
-    for key in hp:
-        if not any(key in names for names in takes.values()):
-            raise UsageError(f"none of the models {model_names} has hyperparameter {key!r}")
-    specs = [
-        _classifier_spec(args, name, {k: v for k, v in hp.items() if k in takes[name]})
-        for name in model_names
-    ]
+    specs = _specs(args, models)
     try:
         split_spec = corpus_mod.SplitSpec(
             train_per_class=args.train_per_class,
@@ -225,9 +210,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    config = _parse_feature(
-        args.features, args.encoding, args.ngram3_cap, not args.no_normalize
-    )
+    config = _feature(args.features, args)
     corp = _ingest(args, allow_empty=True)
     try:
         _, rows = config.fit_transform(corp)
@@ -287,7 +270,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit a classifier and save the model")
     corpus_flags(p)
-    p.add_argument("--features", required=True, choices=sorted(FEATURE_ALIASES))
+    p.add_argument("--features", required=True,
+                   help="one method; char methods may inline an encoding")
     feature_flags(p)
     p.add_argument("--model", required=True, choices=sorted(MODEL_ALIASES))
     model_flags(p)

@@ -575,6 +575,11 @@ def int64_record(values) -> dict:
     return {"base64": base64.b64encode(raw).decode(), "dtype": "<i8", "shape": [len(values)]}
 
 
+def float64_record(values) -> dict:
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {"base64": base64.b64encode(raw).decode(), "dtype": "<f8", "shape": [len(values)]}
+
+
 def set_csr(p, **arrays):
     # knn's training rows of fitted_model_file(kind="knn") are [[1, 0], [0, 1]]
     p["parameters"]["train_matrix"].update({k: int64_record(v) for k, v in arrays.items()})
@@ -592,6 +597,12 @@ MALFORMED_ARRAYS = {
     "csr-columns-not-ascending": lambda p: set_csr(p, indptr=[0, 2, 2], indices=[1, 0]),
     "label-count-not-row-count": lambda p: p["parameters"].update(train_label_idx=int64_record([0, 1, 1])),
     "label-index-out-of-range": lambda p: p["parameters"].update(train_label_idx=int64_record([0, 2])),
+    "nan-in-float-array": lambda p: p["parameters"]["train_matrix"].update(
+        data=float64_record([math.nan, 1.0])),
+    # a float row count would pass every length check, and re-save as 2.0
+    "shape-not-nonnegative-ints": lambda p: p["parameters"]["train_matrix"].update(shape=[2.0, 2]),
+    "undeclared-parameter": lambda p: p["parameters"].update(bias=float64_record([0.0, 0.0])),
+    "csr-indices-length-not-data": lambda p: set_csr(p, indices=[0]),
 }
 
 

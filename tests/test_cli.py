@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -54,6 +55,11 @@ def test_codec_decode_golden(capsys):
     )
     assert rc == 0
     assert out == "d743d444d644d845\n"
+
+
+def test_codec_decode_writes_raw_bytes_without_hex_out(capsysbinary):
+    assert main(["codec", "decode", "--base", "64", "--text", "10PURNZE2EU="]) == 0
+    assert capsysbinary.readouterr().out == bytes.fromhex("d743d444d644d845")
 
 
 def test_codec_encode_reads_stdin_bytes(capsys, monkeypatch):
@@ -324,6 +330,49 @@ def test_negative_ngram3_cap_is_usage_error(capsys, tmp_path, command):
     assert "ngram3_cap" in err
 
 
+def test_train_takes_an_inline_char_encoding(capsys, tmp_path):
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=4)
+    inline, flag = tmp_path / "inline.model", tmp_path / "flag.model"
+    common = ("train", "--corpus", str(corpus_path), "--model", "cnb", "--out")
+    rc, out, err = run(capsys, *common, str(inline), "--features", "tfidf-char:base16")
+    assert (rc, err) == (0, "")
+    assert run(capsys, *common, str(flag), "--features", "tfidf-char",
+               "--encoding", "base16") == (0, out, "")
+    assert inline.read_bytes() == flag.read_bytes()
+
+
+# (command, --features, --models) that one parse of the feature and model
+# tokens refuses, whichever command reads them
+BAD_TOKENS = {
+    "unknown-feature-in-a-list": ("evaluate", "tfidf-byte,nope", "cnb"),
+    "train-byte-method-with-encoding": ("train", "tfidf-byte:base16", "cnb"),
+    "featurize-byte-method-with-encoding": ("featurize", "tfidf-byte:base16", None),
+    "evaluate-byte-method-with-encoding": ("evaluate", "hist-byte,tfidf-byte:base16", "cnb"),
+    "train-unknown-encoding": ("train", "tfidf-char:base99", "cnb"),
+    "featurize-unknown-encoding": ("featurize", "tfidf-char:base99", None),
+    "evaluate-unknown-encoding": ("evaluate", "tfidf-char:base99", "cnb"),
+    "no-feature-in-the-list": ("evaluate", ",", "cnb"),
+    "no-model-in-the-list": ("evaluate", "hist-byte", ","),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOKENS))
+def test_bad_feature_or_model_token_is_usage_error(capsys, tmp_path, case):
+    command, features, models = BAD_TOKENS[case]
+    corpus_path, _ = make_corpus_file(tmp_path, docs_per_class=4)
+    model = [] if models is None else ["--model" if command == "train" else "--models", models]
+    out_flag = "--out-dir" if command == "evaluate" else "--out"
+    rc, out, err = run(
+        capsys, command, "--corpus", str(corpus_path), "--features", features, *model,
+        out_flag, str(tmp_path / "out"),
+    )
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error:")
+    if "unknown-encoding" in case:  # the message itself, not its repr
+        assert err.startswith("usage error: unknown encoding 'base99'")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -355,7 +404,7 @@ def test_predict_memorizes_training_set(capsys, knn_model):
         float(score)  # machine-parsable top score
 
 
-def test_predict_raw_single_file(capsys, tmp_path, knn_model):
+def test_predict_raw_single_file(capsys, monkeypatch, tmp_path, knn_model):
     _, model_path, c = knn_model
     raw = tmp_path / "sample.bin"
     raw.write_bytes(c.documents[0].payload)
@@ -368,6 +417,23 @@ def test_predict_raw_single_file(capsys, tmp_path, knn_model):
     assert len(lines) == 1
     assert lines[0].split("\t")[0] == "sample.bin"
     assert lines[0].split("\t")[1] == c.documents[0].label
+    # the same bytes on stdin, named "-"
+    monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(raw.read_bytes())))
+    rc, from_stdin, _ = run(
+        capsys, "predict", "--model", str(model_path), "--input", "-", "--format", "raw"
+    )
+    assert (rc, from_stdin) == (0, out.replace("sample.bin", "-", 1))
+
+
+def test_predict_raw_empty_file_is_data_error(capsys, tmp_path, knn_model):
+    _, model_path, _ = knn_model
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    rc, out, err = run(
+        capsys, "predict", "--model", str(model_path), "--input", str(empty), "--format", "raw"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "data error: raw input is empty\n"
 
 
 def test_predict_jsonl_from_stdin(capsys, monkeypatch, knn_model):
@@ -462,6 +528,18 @@ def test_predict_with_mistyped_model_fields_is_data_error(capsys, tmp_path, case
     rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
     assert rc == 2
     assert out == "" and err.startswith("data error: malformed model body")
+
+
+@pytest.mark.parametrize("body", [b"not json", b"[1]"], ids=["not-json", "not-an-object"])
+def test_predict_with_a_model_body_that_is_not_a_json_object_is_data_error(capsys, tmp_path, body):
+    model_path = tmp_path / "m.model"
+    model_path.write_bytes(body + b"\nsha256:" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+    with pytest.raises(classify.ModelFormatError, match="unparsable model body"):
+        classify.load_model(model_path)
+    corpus_path, _ = make_corpus_file(tmp_path, classes=2, docs_per_class=1)
+    rc, out, err = run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("data error: unparsable model body")
 
 
 def test_predict_with_a_model_without_schema_is_data_error(capsys, tmp_path):
@@ -624,6 +702,23 @@ def test_featurize_hist_byte_width(capsys, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert len(lines) == len(c) + 1
     assert all(len(l.split(",")) == 2 + 260 for l in lines)
+
+
+def test_featurize_dir_corpus_skips_an_empty_file(capsys, tmp_path, caplog):
+    root = tmp_path / "corpus"
+    for label, payloads in {"a": [b"\x01\x02\x03", b""], "b": [b"\x04\x05"]}.items():
+        (root / label).mkdir(parents=True)
+        for i, payload in enumerate(payloads):
+            (root / label / f"{i}.bin").write_bytes(payload)
+    out_csv = tmp_path / "features.csv"
+    rc, out, _ = run(
+        capsys, "featurize", "--corpus", str(root), "--format", "dir",
+        "--features", "hist-byte", "--out", str(out_csv),
+    )
+    assert (rc, out) == (0, "wrote 2 rows\n")
+    assert [line.split(",")[0] for line in out_csv.read_text().splitlines()[1:]] == ["a/0.bin", "b/0.bin"]
+    assert "1.bin: empty file" in caplog.text
+    assert "skipped 1 malformed record(s)" in caplog.text
 
 
 def test_featurize_empty_corpus_header_only(capsys, tmp_path):

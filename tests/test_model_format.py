@@ -124,8 +124,15 @@ def set_idf1(value):
     return edit
 
 
+def drop_last_idf1_entry(p):
+    record = p["schema"]["vocab"]["idf1"]
+    raw = base64.b64decode(record["base64"])[:-8]
+    record.update(base64=base64.b64encode(raw).decode("ascii"), shape=[len(raw) // 8])
+
+
 # checksum-valid edits of a tfidf-byte cnb vocabulary that _idf cannot have written:
-# each IDF entry lies in [1, log(D + 1) + 1] for D = fit_corpus_size, an integer >= 1
+# each IDF entry lies in [1, log(D + 1) + 1] for D = fit_corpus_size, an integer >= 1,
+# and idf1 holds one entry per byte value
 OUT_OF_RANGE_VOCABULARIES = {
     "idf-zero": set_idf1(0.0),
     "idf-huge": set_idf1(1e200),
@@ -133,6 +140,7 @@ OUT_OF_RANGE_VOCABULARIES = {
     "corpus-size-zero": lambda p: p["schema"]["vocab"].update(fit_corpus_size=0),
     "corpus-size-a-float": lambda p: p["schema"]["vocab"].update(fit_corpus_size=24.5),
     "corpus-size-a-bool": lambda p: p["schema"]["vocab"].update(fit_corpus_size=True),
+    "idf1-of-255-entries": drop_last_idf1_entry,
 }
 
 

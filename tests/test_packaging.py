@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import isagram
+import isagram.cli
 
 
 def test_package_version_matches_pyproject():
@@ -30,6 +31,11 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     assert not hasattr(isagram.sparse, "as_rows")
     # each classifier kind is one row of classify._KINDS
     for name in ("_FITTERS", "_SCORERS", "_PARAMETER_AXES", "_INT_PARAMS"):
+        assert not hasattr(isagram.classify, name)
+    # the CLI parses feature and model tokens once, and the linear kinds share one scorer
+    for name in ("_parse_feature", "_flag_hyperparameters", "_classifier_spec"):
+        assert not hasattr(isagram.cli, name)
+    for name in ("_score_mnb", "_score_cnb", "_score_perceptron", "_score_linear"):
         assert not hasattr(isagram.classify, name)
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
