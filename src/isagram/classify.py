@@ -45,7 +45,7 @@ from .corpus import CorpusError, Document
 from .rng import SplitMix64, derive_seed
 from .sparse import CsrRows
 
-FORMAT_VERSION = "2.0"
+FORMAT_VERSION = "2.1"
 
 
 class ModelFormatError(ValueError):
@@ -458,11 +458,31 @@ DEFAULT_HYPERPARAMETERS = {name: kind.defaults for name, kind in _KINDS.items()}
 # persistence
 # ---------------------------------------------------------------------------
 
+def _row_mode(bits: np.ndarray) -> np.uint64:
+    """A row's most frequent float64 bit pattern, the smallest of equally frequent ones
+    (+0.0 for an empty row)."""
+    s = np.sort(bits)
+    edges = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))  # of runs
+    return s[edges[np.argmax(np.diff(edges))]] if s.size else np.uint64(0)
+
+
+def _row_shape(shape) -> tuple[int, int]:
+    """A shape as (rows, cells per row), its rows running along the last axis."""
+    return math.prod(shape[:-1]), shape[-1] if shape else 1
+
+
 def _encode_array(a: np.ndarray) -> dict:
-    """An int64 or float64 array as its little-endian bytes, which ``_json_chunks`` writes
-    as base64, with its shape."""
-    dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
-    return {"base64": np.ascontiguousarray(a, dtype=dtype), "dtype": dtype, "shape": list(a.shape)}
+    """An array as the little-endian arrays that ``_json_chunks`` writes as base64, with
+    its shape: an int64 array whole; a float64 one as each row's most frequent value
+    (``fill``), a bit per cell set where the cell differs from it (``mask``) and the
+    differing cells (``values``), all in row-major order."""
+    if a.dtype.kind in "iu":
+        return {"base64": np.ascontiguousarray(a, dtype="<i8"), "dtype": "<i8", "shape": list(a.shape)}
+    rows = np.ascontiguousarray(a, dtype="<f8").reshape(_row_shape(a.shape))
+    fill = np.array([_row_mode(row) for row in rows.view("<u8")], dtype="<u8")
+    differ = rows.view("<u8") != fill[:, None]
+    return {"dtype": "<f8", "shape": list(a.shape), "fill": fill.view("<f8"),
+            "mask": np.packbits(differ), "values": rows[differ]}
 
 
 def _encode_parameter(value) -> dict:
@@ -478,24 +498,72 @@ def _decode_shape(value) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _decode_array(record, dtype: str) -> np.ndarray:
-    """Inverse of ``_encode_array``: a read-only view of the decoded bytes."""
+def _check_record(record, keys: set[str], dtype: str) -> None:
+    if set(record) != keys:
+        raise ValueError(f"array record keys must be {sorted(keys)}, got {sorted(record)}")
     if record["dtype"] != dtype:
         raise ValueError(f"expected a {dtype} array, got {record['dtype']!r}")
-    shape = _decode_shape(record["shape"])
+
+
+def _take_base64(record, key: str, dtype) -> np.ndarray:
+    """The array whose base64 is ``record[key]``, dropping the text from the record
+    (a decoded float array can outgrow its text)."""
     # strict mode is b64decode(validate=True) without its ASCII-encoded copy of the text
-    raw = binascii.a2b_base64(record["base64"], strict_mode=True)
-    # frombuffer and reshape raise ValueError unless the bytes fill the shape exactly
-    a = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    raw = binascii.a2b_base64(record.pop(key), strict_mode=True)
+    return np.frombuffer(raw, dtype=dtype)  # ValueError unless the bytes are whole values
+
+
+def _decode_array(record, dtype: str) -> np.ndarray:
+    """Inverse of ``_encode_array`` as format 2.0 wrote it, every array whole: a read-only
+    view of the decoded bytes."""
+    _check_record(record, {"base64", "dtype", "shape"}, dtype)
+    # reshape raises ValueError unless the values fill the shape exactly
+    a = _take_base64(record, "base64", dtype).reshape(_decode_shape(record["shape"]))
     if dtype == "<f8" and not np.isfinite(a).all():
         raise ValueError("array holds NaN or inf")
     return a
 
 
-def _decode_csr(record) -> CsrRows:
-    indptr, indices = (_decode_array(record[f], "<i8") for f in ("indptr", "indices"))
+def _decode_masked(record, dtype: str) -> np.ndarray:
+    """Inverse of ``_encode_array``, refusing a float64 record that it cannot write."""
+    if dtype != "<f8":
+        return _decode_array(record, dtype)
+    _check_record(record, {"dtype", "fill", "mask", "shape", "values"}, dtype)
+    shape = _decode_shape(record["shape"])
+    (n_rows, width), cells = _row_shape(shape), math.prod(shape)
+    fill = _take_base64(record, "fill", "<f8")
+    differ = np.unpackbits(_take_base64(record, "mask", np.uint8))
+    if fill.size != n_rows or differ.size != -(-cells // 8) * 8:
+        raise ValueError(f"fill or mask length does not fit shape {list(shape)}")
+    if differ[cells:].any():
+        raise ValueError("spare mask bits are set")
+    differ = differ[:cells].view(bool).reshape(n_rows, width)
+    per_row = np.count_nonzero(differ, axis=1)
+    # held with the decoded array, these are its peak; each check's scratch comes first
+    values = _take_base64(record, "values", "<f8")
+    if per_row.sum() != values.size:
+        raise ValueError(f"mask marks {per_row.sum()} cells for {values.size} values")
+    if not (np.isfinite(fill).all() and np.isfinite(values).all()):
+        raise ValueError("array holds NaN or inf")
+    out = np.empty(shape, dtype="<f8")
+    rows = out.reshape(n_rows, width)
+    rows[...] = fill[:, None]
+    rows[differ] = values
+    del differ, values
+    bits, fill_bits = rows.view("<u8"), fill.view("<u8")
+    if (np.count_nonzero(bits == fill_bits[:, None], axis=1) != width - per_row).any():
+        raise ValueError("a differing value equals its row's fill")
+    # a fill held by more than half its row is its mode; only other rows need counting
+    for r in np.flatnonzero(2 * per_row >= width):
+        if _row_mode(bits[r]) != fill_bits[r]:
+            raise ValueError("a fill is not its row's most frequent value")
+    return out
+
+
+def _decode_csr(record, read_array) -> CsrRows:
+    indptr, indices = (read_array(record[f], "<i8") for f in ("indptr", "indices"))
     rows, cols = _decode_shape(record["shape"])
-    return CsrRows(indptr, indices, _decode_array(record["data"], "<f8"), (rows, cols)).check()
+    return CsrRows(indptr, indices, read_array(record["data"], "<f8"), (rows, cols)).check()
 
 
 def _check_parameters(kind: str, labels: tuple, schema, parameters: dict) -> None:
@@ -623,8 +691,10 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     """Verify the checksum, then the format version, then rebuild the model.
 
-    Format 2.x stores arrays as base64 binary and knn's training rows as CSR;
-    1.x files, which hold JSON number lists and dense training rows, still load.
+    Format 2.x stores arrays as base64 binary and knn's training rows as CSR, and
+    from 2.1 on each float array as a fill per row, a mask and the differing values;
+    2.0 files, whose float arrays are whole, and 1.x files, which hold JSON number
+    lists and dense training rows, still load.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -658,8 +728,9 @@ def load_model(path) -> TrainedModel:
         )
     if major == "1":  # JSON number lists; knn's training rows dense
         read_array, read_csr = np.asarray, CsrRows.from_dense
-    else:
-        read_array, read_csr = _decode_array, _decode_csr
+    else:  # 2.0 stored float arrays whole, later minors as masks
+        read_array = _decode_array if version == "2.0" else _decode_masked
+        read_csr = lambda record: _decode_csr(record, read_array)
     try:  # a checksum-valid body may still lack a field or hold a bad value
         # only the JSON types save_model writes, so a loaded model re-saves to its own bytes
         if type(payload["seed"]) is not int or not isinstance(payload["labels"], list):

@@ -575,9 +575,30 @@ def int64_record(values) -> dict:
     return {"base64": base64.b64encode(raw).decode(), "dtype": "<i8", "shape": [len(values)]}
 
 
-def float64_record(values) -> dict:
-    raw = np.asarray(values, dtype="<f8").tobytes()
-    return {"base64": base64.b64encode(raw).decode(), "dtype": "<f8", "shape": [len(values)]}
+def float64_record(values, fill=None) -> dict:
+    """``values`` as a format-2.1 float64 record: per row (every axis but the last) the
+    ``fill`` given, else the row's most frequent bit pattern (the smallest of equals), a
+    bit per cell set where the cell's bits differ from it, and those cells' values."""
+    a = np.asarray(values, dtype="<f8")
+    rows = a.reshape(-1, a.shape[-1])
+    if fill is None:
+        fill = [u[np.argmax(c)] for u, c in (np.unique(r.view("<u8"), return_counts=True) for r in rows)]
+        fill = np.array(fill, dtype="<u8").view("<f8")
+    fill = np.asarray(fill, dtype="<f8")
+    differ = rows.view("<u8") != fill.view("<u8")[:, None]
+    text = {"fill": fill, "mask": np.packbits(differ), "values": rows[differ]}
+    return {"dtype": "<f8", "shape": list(a.shape),
+            **{k: base64.b64encode(v.tobytes()).decode() for k, v in text.items()}}
+
+
+def float64_values(record) -> np.ndarray:
+    """The array that a format-2.1 float64 record holds."""
+    shape, (fill, mask, values) = record["shape"], (
+        base64.b64decode(record[k]) for k in ("fill", "mask", "values"))
+    differ = np.unpackbits(np.frombuffer(mask, np.uint8), count=math.prod(shape)).astype(bool)
+    out = np.repeat(np.frombuffer(fill, "<f8"), shape[-1])
+    out[differ] = np.frombuffer(values, "<f8")
+    return out.reshape(shape)
 
 
 def set_csr(p, **arrays):
@@ -585,7 +606,7 @@ def set_csr(p, **arrays):
     p["parameters"]["train_matrix"].update({k: int64_record(v) for k, v in arrays.items()})
 
 
-# checksum-valid format-2.0 bodies whose arrays are malformed or do not fit together
+# checksum-valid format-2.1 bodies whose arrays are malformed or do not fit together
 MALFORMED_ARRAYS = {
     "not-base64": lambda p: p["parameters"]["train_label_idx"].update(base64="AAAA!AAA"),
     "length-not-shape": lambda p: p["parameters"]["train_label_idx"].update(shape=[3]),
@@ -631,7 +652,7 @@ def labelled_model_file(tmp_path, kind="cnb", names=("isa00", "isa01")):
 
 def no_labels(p):
     p["labels"] = []
-    p["parameters"]["feature_log_prob"].update(base64="", shape=[0, 260])  # fits 0 labels
+    p["parameters"]["feature_log_prob"] = float64_record(np.zeros((0, 260)))  # fits 0 labels
 
 
 # checksum-valid edits of labelled_model_file's labels, which fit_vectors
@@ -678,8 +699,8 @@ def test_gnb_whose_scores_can_leave_float_range_is_refused(tmp_path, var):
     with pytest.raises(corpus.CorpusError, match="float range"):
         fit_vectors(ClassifierSpec("gnb", {"var_floor": var}), X, ["A", "B"])
     path = fitted_model_file(tmp_path, "gnb")
-    raw = base64.b64encode(np.full((2, 2), var, dtype="<f8").tobytes()).decode()
-    rewrite_with_valid_checksum(path, lambda p: p["parameters"]["var"].update(base64=raw))
+    record = float64_record(np.full((2, 2), var))
+    rewrite_with_valid_checksum(path, lambda p: p["parameters"].update(var=record))
     with pytest.raises(ModelFormatError, match="float range"):
         load_model(path)
 
