@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from isagram import codec, corpus, evaluate, vectorize
-from isagram.classify import ClassifierSpec
+from isagram import classify, codec, corpus, evaluate, vectorize
+from isagram.classify import DEFAULT_HYPERPARAMETERS, KINDS, ClassifierSpec
 from isagram.corpus import Corpus, Document, SplitSpec
 from isagram.evaluate import (
     FeatureConfig,
@@ -156,6 +158,58 @@ def test_no_test_leakage_into_fitting():
     assert np.array_equal(
         m1.parameters["feature_log_prob"], m2.parameters["feature_log_prob"]
     )
+
+
+# ---------------------------------------------------------------------------
+# pinned decisions
+# ---------------------------------------------------------------------------
+
+# sha256 over every report's render_report and confusion_csv text of
+# short_document_reports(); a change that moves a decision on purpose records
+# the new value and says in CHANGES which labels moved and why
+DECISIONS_SHA256 = "6e1a6afe35f8405c35393cf65cec993458479b8f3f6bb4047eff3541deba9591"
+
+
+def short_document_reports():
+    """Every kind x tfidf-byte, tfidf-char:base16 and hist-byte on 16-byte documents,
+    where the kinds disagree (at 66 bytes nearly every pair scores 1.000)."""
+    c = corpus.generate_synthetic(corpus.default_isa_specs(12), 40, 16, seed=7)
+    configs = [FeatureConfig("tfidf_byte"), FeatureConfig("tfidf_char", codec.BASE16),
+               FeatureConfig("hist_endian_byte")]
+    specs = [ClassifierSpec(kind, {"epochs": 3} if "epochs" in DEFAULT_HYPERPARAMETERS[kind] else {})
+             for kind in KINDS]
+    return run_comparison(c, configs, specs, SplitSpec(30, 10, seed=7, repeats=2))
+
+
+def decisions_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(render_report(report).encode())
+        digest.update(confusion_csv(report).encode())
+    return digest.hexdigest()
+
+
+def test_decisions_on_short_documents_are_pinned():
+    reports = short_document_reports()
+    assert decisions_digest(reports) == DECISIONS_SHA256
+    # the pin can only catch a moved decision where decisions are not all right
+    accs = [acc for report in reports for acc in report.per_repeat_accuracy]
+    assert min(accs) < 0.5 and sum(acc < 1.0 for acc in accs) > len(accs) // 2
+
+
+def test_one_flipped_prediction_moves_the_pinned_digest(monkeypatch):
+    original, flipped = classify.predict_matrix, []
+
+    def flip_first(model, X):
+        labels, scores = original(model, X)
+        if not flipped:
+            flipped.append(labels[0])
+            labels[0] = next(label for label in model.labels if label != labels[0])
+        return labels, scores
+
+    monkeypatch.setattr(classify, "predict_matrix", flip_first)
+    assert decisions_digest(short_document_reports()) != DECISIONS_SHA256
+    assert len(flipped) == 1
 
 
 # ---------------------------------------------------------------------------
