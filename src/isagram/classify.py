@@ -513,15 +513,18 @@ def _take_base64(record, key: str, dtype) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)  # ValueError unless the bytes are whole values
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        raise ValueError("array holds NaN or inf")
+    return a
+
+
 def _decode_array(record, dtype: str) -> np.ndarray:
     """Inverse of ``_encode_array`` as format 2.0 wrote it, every array whole: a read-only
     view of the decoded bytes."""
     _check_record(record, {"base64", "dtype", "shape"}, dtype)
     # reshape raises ValueError unless the values fill the shape exactly
-    a = _take_base64(record, "base64", dtype).reshape(_decode_shape(record["shape"]))
-    if dtype == "<f8" and not np.isfinite(a).all():
-        raise ValueError("array holds NaN or inf")
-    return a
+    return _finite(_take_base64(record, "base64", dtype).reshape(_decode_shape(record["shape"])))
 
 
 def _decode_masked(record, dtype: str) -> np.ndarray:
@@ -727,7 +730,8 @@ def load_model(path) -> TrainedModel:
             f"format version {version!r} incompatible with {FORMAT_VERSION}"
         )
     if major == "1":  # JSON number lists; knn's training rows dense
-        read_array, read_csr = np.asarray, CsrRows.from_dense
+        read_array = lambda value, dtype: _finite(np.asarray(value, dtype=dtype))
+        read_csr = lambda value: CsrRows.from_dense(read_array(value, "<f8"))
     else:  # 2.0 stored float arrays whole, later minors as masks
         read_array = _decode_array if version == "2.0" else _decode_masked
         read_csr = lambda record: _decode_csr(record, read_array)

@@ -1,9 +1,10 @@
 """Repeated-split evaluation and feature-method comparison.
 
-Every repeat draws its own stratified train/test split; the featurizer is
-fitted inside the repeat on that repeat's train documents only, so IDF
-weights and 3-gram selection never see test data.  Reports aggregate
-per-repeat accuracies and a confusion matrix summed over repeats.
+Every repeat draws one stratified train/test split.  Each feature config is
+fitted on that repeat's train documents only, so IDF weights and 3-gram
+selection never see test data, and every classifier spec fits and scores on
+the rows it gives, one model at a time.  Reports aggregate per-repeat
+accuracies and a confusion matrix summed over repeats.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import classify
+from . import classify, vectorize
 from .corpus import Corpus, SplitSpec, split
 from .vectorize import FeatureConfig
 
@@ -45,48 +46,35 @@ def fit_model(
     return classify.fit_vectors(spec, rows, [d.label for d in train], schema=schema)
 
 
-def _evaluate_one(config, cspec, train, test, labels):
-    model = fit_model(config, cspec, train)
-    predicted, _ = classify.predict_corpus(model, test)
-    index = {label: i for i, label in enumerate(labels)}
-    pairs = [(d.label, p) for d, p in zip(test, predicted)]
-    hits = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for true, pred in pairs:
-        hits[index[true], index[pred]] += 1
-    return accuracy(pairs), hits
-
-
 def run_comparison(
     corpus: Corpus,
     methods: Sequence[FeatureConfig],
     specs: Sequence[classify.ClassifierSpec],
     split_spec: SplitSpec,
 ) -> list[EvaluationReport]:
-    """Evaluate every (feature config, classifier spec) pair over all repeats."""
+    """Evaluate every (feature config, classifier spec) pair over all repeats, config-major."""
     labels = corpus.label_set
-    reports = []
-    for config in methods:
-        for cspec in specs:
-            accs: list[float] = []
-            confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-            for repeat in range(split_spec.repeats):
-                train, test = split(corpus, split_spec, repeat)
-                acc, hits = _evaluate_one(config, cspec, train, test, labels)
-                accs.append(acc)
-                confusion += hits
-            reports.append(
-                EvaluationReport(
-                    per_repeat_accuracy=tuple(accs),
-                    mean_accuracy=float(np.mean(accs)),
-                    stddev_accuracy=float(np.std(accs)),
-                    confusion=confusion,
-                    labels=labels,
-                    feature_config=config,
-                    classifier_spec=cspec,
-                    split_spec=split_spec,
-                )
-            )
-    return reports
+    index = {label: i for i, label in enumerate(labels)}
+    pairs = [(config, cspec) for config in methods for cspec in specs]
+    accs: list[list[float]] = [[] for _ in pairs]
+    confusion = [np.zeros((len(labels), len(labels)), dtype=np.int64) for _ in pairs]
+    for repeat in range(split_spec.repeats):
+        train, test = split(corpus, split_spec, repeat)
+        train_labels, truth = [d.label for d in train], [index[d.label] for d in test]
+        for c, config in enumerate(methods):
+            schema, rows = config.fit_transform(train)
+            test_rows = vectorize.transform_rows(schema, test.documents)
+            for p, cspec in enumerate(specs, start=c * len(specs)):  # p indexes pairs
+                # the model lives for this call only, so one model is held at a time
+                winners, _ = classify.predict_matrix(
+                    classify.fit_vectors(cspec, rows, train_labels, schema=schema), test_rows)
+                predicted = [index[label] for label in winners]
+                accs[p].append(accuracy(list(zip(truth, predicted))))
+                np.add.at(confusion[p], (truth, predicted), 1)
+            del rows, test_rows  # freed before the next fit
+    return [EvaluationReport(tuple(acc), float(np.mean(acc)), float(np.std(acc)), hits, labels,
+                             config, cspec, split_spec)
+            for (config, cspec), acc, hits in zip(pairs, accs, confusion)]
 
 
 # ---------------------------------------------------------------------------

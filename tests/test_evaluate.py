@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -89,38 +90,78 @@ def test_confusion_row_sums_and_consistency():
 
 
 def test_repeats_match_manual_reruns():
-    c = constant_byte_corpus(per_class=10)
+    # short documents, so the accuracies and confusion counts are not all trivial
+    c = corpus.generate_synthetic(corpus.default_isa_specs(4), 12, 16, seed=9)
     config = FeatureConfig("tfidf_byte", ngram3_cap=100)
     cspec = ClassifierSpec("cnb")
-    split_spec = SplitSpec(4, 3, seed=9, repeats=3)
+    split_spec = SplitSpec(8, 4, seed=9, repeats=3)
     report = run_comparison(c, [config], [cspec], split_spec)[0]
+    index = {label: i for i, label in enumerate(c.label_set)}
+    hits = np.zeros_like(report.confusion)
     for repeat in range(3):
         train, test = corpus.split(c, split_spec, repeat)
-        acc, _ = evaluate._evaluate_one(config, cspec, train, test, c.label_set)
-        assert report.per_repeat_accuracy[repeat] == acc
+        predicted, _ = classify.predict_corpus(evaluate.fit_model(config, cspec, train), test)
+        pairs = [(d.label, p) for d, p in zip(test, predicted)]
+        assert report.per_repeat_accuracy[repeat] == accuracy(pairs)
+        for true, pred in pairs:
+            hits[index[true], index[pred]] += 1
+    assert np.array_equal(report.confusion, hits)
+    assert min(report.per_repeat_accuracy) < 1.0
+
+
+def count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def shim(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, shim)
 
 
 def test_each_batch_is_encoded_and_counted_once(monkeypatch):
     c = corpus.generate_synthetic(corpus.default_isa_specs(3), 12, 40, seed=3)
-    train, test = corpus.split(c, SplitSpec(8, 4, seed=2, repeats=1), 0)
-    calls = {"gram_table": 0, "encode": 0}
+    calls = {"gram_table": 0, "encode": 0, "split": 0}
+    count_calls(monkeypatch, calls, vectorize, "gram_table")
+    count_calls(monkeypatch, calls, codec, "encode")
+    count_calls(monkeypatch, calls, evaluate, "split")
+    specs = [ClassifierSpec("cnb"), ClassifierSpec("knn"), ClassifierSpec("gnb")]
+    run_comparison(c, [FeatureConfig("tfidf_char", codec.BASE85)], specs, SplitSpec(8, 4, seed=2, repeats=1))
+    # one split per repeat; n = 1, 2, 3 tables for the train batch and for the test
+    # batch, shared by every spec; every payload reaches the codec through one batch
+    # call per batch
+    assert calls == {"gram_table": 6, "encode": 0, "split": 1}
 
-    def counting(module, name):
-        original = getattr(module, name)
 
-        def shim(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+def test_several_pairs_equal_one_pair_per_call():
+    c = corpus.generate_synthetic(corpus.default_isa_specs(4), 12, 16, seed=5)
+    methods = [FeatureConfig("tfidf_byte", ngram3_cap=100), FeatureConfig("hist_endian_byte")]
+    specs = [ClassifierSpec("cnb"), ClassifierSpec("knn"), ClassifierSpec("perceptron", seed=3)]
+    split_spec = SplitSpec(8, 4, seed=5, repeats=3)
+    reports = run_comparison(c, methods, specs, split_spec)
+    alone = [run_comparison(c, [m], [s], split_spec)[0] for m in methods for s in specs]
+    assert len(reports) == len(alone) == 6
+    for got, want in zip(reports, alone):
+        assert (got.feature_config, got.classifier_spec) == (want.feature_config, want.classifier_spec)
+        assert render_report(got) == render_report(want)
+        assert np.array_equal(got.confusion, want.confusion)
+        assert (got.mean_accuracy, got.stddev_accuracy) == (want.mean_accuracy, want.stddev_accuracy)
 
-        monkeypatch.setattr(module, name, shim)
 
-    counting(vectorize, "gram_table")
-    counting(codec, "encode")
-    config = FeatureConfig("tfidf_char", codec.BASE85)
-    evaluate._evaluate_one(config, ClassifierSpec("cnb"), train, test, c.label_set)
-    # n = 1, 2, 3 tables for the train batch and for the test batch, and
-    # every payload reaches the codec through one batch call per batch
-    assert calls == {"gram_table": 6, "encode": 0}
+def test_one_model_is_held_at_a_time(monkeypatch):
+    live, original = weakref.WeakSet(), classify.fit_vectors
+
+    def fit_alone(*args, **kwargs):
+        assert not live, "a model outlived its scoring into the next fit"
+        model = original(*args, **kwargs)
+        live.add(model)
+        return model
+
+    monkeypatch.setattr(classify, "fit_vectors", fit_alone)
+    specs = [ClassifierSpec(kind) for kind in ("cnb", "knn", "gnb")]
+    c = constant_byte_corpus()
+    run_comparison(c, [FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byte")], specs,
+                   SplitSpec(6, 4, seed=1, repeats=2))
 
 
 def test_run_comparison_is_deterministic():

@@ -38,6 +38,40 @@ def test_format1_fixture_reproduces_recorded_output(capsys, name):
     assert [[float(v).hex() for v in row] for row in scores] == expected["scores"]
 
 
+def set_first(*keys, value):
+    """An edit that sets the first number of the nested JSON list at ``keys`` to ``value``."""
+    def edit(p):
+        for key in keys:
+            p = p[key]
+        while isinstance(p[0], list):
+            p = p[0]
+        p[0] = value
+    return edit
+
+
+# checksum-valid edits of the format-1.0 fixtures that put NaN or inf in a JSON
+# number list, which a 1.x file can hold and the 2.x readers already refuse
+NONFINITE_FORMAT1 = {
+    "nan-in-cnb-weights": ("format1_hist_byte_cnb", set_first("parameters", "feature_log_prob", value=math.nan)),
+    "nan-in-knn-training-rows": ("format1_tfidf_char_base16_knn",
+                                 set_first("parameters", "train_matrix", value=math.nan)),
+    "inf-in-cnb-weights": ("format1_hist_byte_cnb", set_first("parameters", "feature_log_prob", value=math.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_FORMAT1))
+def test_format1_array_with_nan_or_inf_is_refused(capsys, tmp_path, case):
+    name, edit = NONFINITE_FORMAT1[case]
+    path = tmp_path / f"{name}.model"
+    path.write_bytes((FIXTURES / f"{name}.model").read_bytes())
+    rewrite_with_valid_checksum(path, edit)
+    with pytest.raises(classify.ModelFormatError, match="malformed model body.*NaN or inf"):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--input", str(FIXTURES / "queries.jsonl")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: malformed model body")
+
+
 # train flags of the format-2.x fixtures, besides --corpus train.jsonl --seed 3
 FIXTURE_FLAGS = {
     "hist_byte_cnb": ["--features", "hist-byte", "--model", "cnb"],

@@ -29,6 +29,8 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     for name in ("predict", "predict_vector"):
         assert not hasattr(isagram.classify, name)
     assert not hasattr(isagram.sparse, "as_rows")
+    # run_comparison is one repeat -> config -> kind loop, with no per-pair helper
+    assert not hasattr(isagram.evaluate, "_evaluate_one")
     # each classifier kind is one row of classify._KINDS
     for name in ("_FITTERS", "_SCORERS", "_PARAMETER_AXES", "_INT_PARAMS"):
         assert not hasattr(isagram.classify, name)
