@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_tfidf as oracle
-from isagram import codec, vectorize
+from isagram import codec, corpus, vectorize
 from isagram.corpus import Corpus, Document
 from isagram.evaluate import FeatureConfig
 from isagram.sparse import CsrRows
@@ -207,6 +208,65 @@ def test_hist_matches_oracle():
         got = transform_rows(FeatureSchema(f"hist_endian_{mode}", enc), c.documents).toarray()
         want = np.array([oracle.oracle_hist_endian(d.payload, mode, enc) for d in c])
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# pinned feature bytes
+# ---------------------------------------------------------------------------
+
+# sha256 over the dtype and bytes of indptr, indices and data of every
+# pinned_feature_rows() array; the oracle tests compare at 1e-12, so they
+# cannot see a last-bit change, and this pin can.  A change that moves a
+# stored value on purpose records the new value and says in CHANGES why.
+FEATURES_SHA256 = "84d0d994e724351de4a3271fa2874a2a1a684eb92ab3db4fe9498ca30be511e6"
+
+PINNED_CONFIGS = (
+    [FeatureConfig("tfidf_byte")]
+    + [FeatureConfig("tfidf_char", enc) for enc in codec.ENCODINGS.values()]
+    + [
+        FeatureConfig("hist_endian_byte"),
+        FeatureConfig("hist_endian_char", codec.BASE85),
+        FeatureConfig("tfidf_char", codec.BASE32, normalize=False),
+        FeatureConfig("tfidf_byte", ngram3_cap=0),
+    ]
+)
+
+
+def pinned_feature_rows() -> list[CsrRows]:
+    """fit_transform and transform_rows rows of every pinned config, in order.
+
+    240 documents of about 66 bytes: the byte 3-grams outnumber the cap, so
+    the ranked selection runs, and base16's fixed block does too."""
+    c = corpus.generate_synthetic(corpus.default_isa_specs(12), 20, 66, seed=5)
+    train = Corpus([d for i, d in enumerate(c) if i % 4])
+    held = Corpus([d for i, d in enumerate(c) if not i % 4])
+    out = []
+    for config in PINNED_CONFIGS:
+        schema, rows = config.fit_transform(train)
+        out += [rows, transform_rows(schema, held.documents)]
+    return out
+
+
+def features_digest(all_rows) -> str:
+    digest = hashlib.sha256()
+    for rows in all_rows:
+        for a in (rows.indptr, rows.indices, rows.data):
+            digest.update(a.dtype.str.encode())
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def test_feature_bytes_are_pinned():
+    all_rows = pinned_feature_rows()
+    assert features_digest(all_rows) == FEATURES_SHA256
+    assert sum(rows.data.shape[0] for rows in all_rows) > 100_000
+
+
+def test_one_ulp_in_one_stored_value_moves_the_pinned_digest():
+    all_rows = pinned_feature_rows()
+    data = all_rows[0].data
+    data[7] = np.nextafter(data[7], np.inf)
+    assert features_digest(all_rows) != FEATURES_SHA256
 
 
 # ---------------------------------------------------------------------------
