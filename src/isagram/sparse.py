@@ -27,21 +27,14 @@ class CsrRows:
     shape: tuple[int, int]
 
     @classmethod
-    def from_triples(cls, rows, cols, values, shape) -> "CsrRows":
-        """Rows from (row, col, value) triples of nonzero values at distinct (row, col) pairs."""
-        order = np.argsort(rows.astype(np.int64) * shape[1] + cols)  # keys are distinct
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        data = np.asarray(values, dtype=np.float64)[order]
-        return cls(indptr, cols[order].astype(np.int64), data, tuple(shape))
-
-    @classmethod
     def from_dense(cls, X) -> "CsrRows":
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("feature matrix must be 2-D")
-        rows, cols = np.nonzero(X)  # NaN counts as nonzero, so it stays visible
-        return cls.from_triples(rows, cols, X[rows, cols], X.shape)
+        rows, cols = np.nonzero(X)  # row-major; NaN counts as nonzero, so it stays visible
+        indptr = np.zeros(X.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=X.shape[0]), out=indptr[1:])
+        return cls(indptr, cols, X[rows, cols], X.shape)
 
     def check(self) -> "CsrRows":
         """These rows, if the arrays are well-formed CSR of ``shape``; else ValueError."""

@@ -19,12 +19,16 @@ character's rank in the sorted alphabet, and a vocabulary holds only what
 was fitted on top of that.  Each batch is encoded once (``_terms``; in char
 mode one vectorised ``codec.encode_digits`` call) and counted once:
 ``gram_table`` gives the distinct (doc, code, count) triples for each
-n = 1, 2, 3, sorted by code, then doc, so all later steps are linear in the
-table: the distinct 3-gram codes are its runs, and the vocabulary lookup
-searches each of them once.  One pass over n reads each table both to fit
-and to transform.  ``FeatureConfig.fit_transform`` fits a schema and returns
-the training rows from one such pass, and ``transform_rows`` applies a
-fitted schema to new documents; rows leave as CSR.
+n = 1, 2, 3 from one sort of shift-packed int64 keys, in the order its
+reader wants.  The 1- and 2-gram tables are doc-major, so their TF-IDF
+blocks already lie in CSR order.  The 3-gram table is code-major, so its
+distinct codes are its runs: selection ranks only those, and the vocabulary
+lookup searches each of them once; its block alone is then sorted into rank
+order within each row.  ``_csr`` writes each block straight into the rows,
+with no sort of the whole batch.  One pass over n reads each table both to
+fit and to transform.  ``FeatureConfig.fit_transform`` fits a schema and
+returns the training rows from one such pass, and ``transform_rows`` applies
+a fitted schema to new documents; rows leave as CSR.
 """
 
 from __future__ import annotations
@@ -182,25 +186,31 @@ def _terms(docs: Sequence[Document], encoding) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gram_table(
-    flat: np.ndarray, offsets: np.ndarray, n: int, base: int
+    flat: np.ndarray, offsets: np.ndarray, n: int, base: int, doc_major: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(doc, code, count) of every distinct length-n window of every document.
 
     Documents are ``flat[offsets[d]:offsets[d+1]]``; windows advance one term
     and never cross document boundaries.  A window's code is its terms read
-    as base-``base`` digits.  Triples come sorted by code, then doc (one
-    sort of ``code * n_docs + doc`` keys), so the distinct codes of the table
-    are its runs, and the triples of any one doc still ascend in code.
+    as base-``base`` digits.  Each window gets one int64 key, its code and doc
+    packed with shifts, and one sort of the keys yields the table: sorted by
+    code, then doc (``code << doc_bits | doc``), or with ``doc_major`` by doc,
+    then code (``doc << code_bits | code``), which is the order of CSR rows.
     """
-    docs = np.arange(offsets.shape[0] - 1, dtype=np.int32)
-    n_docs = max(docs.shape[0], 1)
+    n_docs = offsets.shape[0] - 1
+    doc_bits, code_bits = (n_docs - 1).bit_length(), (base**n - 1).bit_length()
     m = max(flat.shape[0] - (n - 1), 0)  # windows of the flat array, doc ends ignored
-    key = flat[:m].astype(np.int64)
+    code = flat[:m].astype(np.int64)
     for j in range(1, n):
-        key *= base
-        key += flat[j : j + m]
-    key *= n_docs
-    key += np.repeat(docs, np.diff(offsets))[:m]
+        code *= base
+        code += flat[j : j + m]
+    doc = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))[:m]
+    if doc_major:
+        key, low_bits = np.left_shift(doc, code_bits, out=doc), code_bits
+        key |= code
+    else:
+        key, low_bits = np.left_shift(code, doc_bits, out=code), doc_bits
+        key |= doc
     keep = np.ones(m, dtype=bool)
     for j in range(1, n):  # a window starting j terms before a doc's end runs past it
         start = offsets[1:] - j
@@ -209,7 +219,8 @@ def gram_table(
     key.sort()
     first = np.flatnonzero(_run_starts(key))
     count = np.diff(first, append=key.shape[0])
-    code, doc = np.divmod(key[first], n_docs)
+    high, low = key[first] >> low_bits, key[first] & ((1 << low_bits) - 1)
+    doc, code = (high, low) if doc_major else (low, high)
     # int32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
     return doc.astype(np.int32), code.astype(np.int32), count.astype(np.int32)
 
@@ -251,17 +262,21 @@ def _select3(code: np.ndarray, count: np.ndarray, pool: np.ndarray, slot: np.nda
 
 
 def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
-           ngram3_cap: int = NGRAM3_CAP):
+           ngram3_cap: int = NGRAM3_CAP, normalize: bool = True):
     """Fit a vocabulary on a batch's terms (when ``vocab`` is None) and its
-    unnormalized TF x IDF (row, col, value) triples, in one pass over n.
+    TF x IDF blocks, one (row, col, value) block per n, in one pass over n;
+    rows are scaled to unit norm if ``normalize``.
 
     Each count table is read both to fit and to transform, so only one is
-    alive at a time.
+    alive at a time.  The 1- and 2-gram tables are counted doc-major, so their
+    blocks come out in CSR order.  The 3-gram table is code-major, which keeps
+    the selection and the vocabulary lookup linear; its block alone is then
+    sorted from code to rank order within each row.
     """
     d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
-    idfs, parts = [], []
+    idfs, blocks = [], []
     for n in (1, 2, 3):
-        doc, code, count = gram_table(flat, offsets, n, base)
+        doc, code, count = gram_table(flat, offsets, n, base, doc_major=n < 3)
         if n == 3:  # the table's runs: its distinct codes, and each row's run
             new = _run_starts(code)
             pool, slot = code[new], np.cumsum(new) - 1
@@ -276,16 +291,29 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
         if n == 3:  # vocabulary grams only; a gram's slot is its rank position
             j = _find(vocab.sorted3, pool)[slot]  # one lookup per distinct code
             doc, count, code = doc[j >= 0], count[j >= 0], vocab.pos3[j[j >= 0]]
-        first_col = (0, base, base + base * base)[n - 1]
         tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
-        parts.append((doc, first_col + code, count * (idfs[-1][code] * tf_scale)))
-    return vocab, tuple(np.concatenate(x) for x in zip(*parts))
+        value = count * (idfs[-1][code] * tf_scale)
+        if normalize:  # each row's squares add up in (n, code) order, one at a time
+            if n == 1:
+                norm_sq = np.bincount(doc, weights=value * value, minlength=d_total)
+            else:
+                np.add.at(norm_sq, doc, value * value)
+        if n == 3:  # code to rank order within each row
+            key = doc.astype(np.int64) << vocab.codes3.shape[0].bit_length()
+            order = np.argsort(key | code)
+            doc, code, value = doc[order], code[order], value[order]
+        blocks.append((doc, (0, base, base + base * base)[n - 1] + code, value))
+    if normalize:
+        norms = np.sqrt(norm_sq)
+        for doc, _, value in blocks:
+            value /= norms[doc]  # only rows that hold an entry
+    return vocab, blocks
 
 
-def _hist_triples(schema: FeatureSchema, docs: Sequence[Document]):
-    """(row, col, value) of symbol frequencies and endianness probe rates."""
+def _hist_blocks(schema: FeatureSchema, docs: Sequence[Document]):
+    """(row, col, value) blocks of symbol frequencies and endianness probe rates."""
     flat, offsets = _terms(docs, schema.encoding)
-    doc, code, count = gram_table(flat, offsets, 1, schema.base)
+    doc, code, count = gram_table(flat, offsets, 1, schema.base, doc_major=True)
     hist = (doc, code, count / np.diff(offsets)[doc])
     if schema.is_char:  # the probes always read raw bytes
         flat, offsets = _terms(docs, None)
@@ -295,19 +323,31 @@ def _hist_triples(schema: FeatureSchema, docs: Sequence[Document]):
     inside = at + 1 < offsets[doc + 1]
     k = len(ENDIAN_PATTERNS)
     hits = np.bincount(doc[inside] * k + slot[at[inside]], minlength=len(docs) * k).reshape(-1, k)
-    doc, slot = np.nonzero(hits)
+    doc, slot = np.nonzero(hits)  # row-major
     rate = hits[doc, slot] * (1.0 / np.diff(offsets)[doc])
-    probes = (doc, schema.base + slot, rate)
-    return tuple(np.concatenate(x) for x in zip(hist, probes))
+    return [hist, (doc, schema.base + slot, rate)]
 
 
-def _csr(schema: FeatureSchema, n_docs: int, triples) -> CsrRows:
-    """CSR rows (n_docs, dimension) from a batch's triples, unit-norm if the schema says."""
-    rows, cols, values = triples
-    if schema.is_tfidf and schema.normalize:
-        norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=n_docs))
-        values = values / norms[rows]  # only rows that hold an entry
-    return CsrRows.from_triples(rows, cols, values, (n_docs, schema.dimension))
+def _csr(n_docs: int, width: int, blocks) -> CsrRows:
+    """CSR rows (n_docs, width) from (row, col, value) blocks.
+
+    Each block is sorted by row, then column, and every column of a block lies
+    below those of the next, so a row is its blocks' runs laid end to end:
+    each value is written straight to its place, with no sort.
+    """
+    counts = [np.bincount(doc, minlength=n_docs) for doc, _, _ in blocks]
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(sum(counts), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    filled = indptr[:-1].copy()  # where each row's next block starts
+    for (doc, col, value), count in zip(blocks, counts):
+        shift = filled - (np.cumsum(count) - count)  # block position -> row position
+        at = shift[doc]
+        at += np.arange(doc.shape[0])
+        indices[at], data[at] = col, value
+        filled += count
+    return CsrRows(indptr, indices, data, (n_docs, width))
 
 
 @dataclass(frozen=True)
@@ -340,9 +380,9 @@ class FeatureConfig:
             raise ValueError("cannot fit TF-IDF features on an empty corpus")
         base = len(self.encoding.alphabet) if self.encoding else 256
         flat, offsets = _terms(train.documents, self.encoding)
-        vocab, triples = _tfidf(flat, offsets, base, None, self.ngram3_cap)
+        vocab, blocks = _tfidf(flat, offsets, base, None, self.ngram3_cap, self.normalize)
         schema = FeatureSchema(self.method, self.encoding, vocab, self.normalize)
-        rows = _csr(schema, len(train), triples)
+        rows = _csr(len(train), schema.dimension, blocks)
         # The vocabulary outlives the pass but was allocated among its count tables;
         # fresh copies, made once those are freed, do not keep the freed heap from
         # shrinking (without them peak RSS on protocol-byte was ~8 % higher).
@@ -354,10 +394,11 @@ class FeatureConfig:
 def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
     """Feature rows for a batch of documents, as CSR rows (len(docs), dimension)."""
     if schema.is_tfidf:
-        triples = _tfidf(*_terms(docs, schema.encoding), schema.base, schema.vocab)[1]
+        flat, offsets = _terms(docs, schema.encoding)
+        blocks = _tfidf(flat, offsets, schema.base, schema.vocab, normalize=schema.normalize)[1]
     else:
-        triples = _hist_triples(schema, docs)
-    return _csr(schema, len(docs), triples)
+        blocks = _hist_blocks(schema, docs)
+    return _csr(len(docs), schema.dimension, blocks)
 
 
 def export_features(rows: CsrRows, corpus: Corpus, path) -> int:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -71,12 +72,8 @@ def batches(draw):
     return docs, base
 
 
-@settings(max_examples=150, deadline=None)
-@given(batch=batches(), n=st.integers(1, 3))
-@example(batch=([], 16), n=1)
-@example(batch=([[1], [], [2, 3], [0, 1, 2]], 4), n=3)
-def test_gram_table_equals_a_per_document_counter_in_code_then_doc_order(batch, n):
-    docs, base = batch
+def counter_table(docs, n, base) -> dict:
+    """{(code, doc): count} of the length-n windows of term lists, one document at a time."""
     want = {}
     for d, terms in enumerate(docs):
         for i in range(len(terms) - n + 1):
@@ -84,8 +81,48 @@ def test_gram_table_equals_a_per_document_counter_in_code_then_doc_order(batch, 
             for t in terms[i : i + n]:
                 code = code * base + t
             want[code, d] = want.get((code, d), 0) + 1
+    return want
+
+
+def batch_table(docs, n, base, doc_major=False):
     flat = np.array([t for terms in docs for t in terms], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum([len(t) for t in docs]))).astype(np.int64)
-    doc, code, count = gram_table(flat, offsets, n, base)
+    return gram_table(flat, offsets, n, base, doc_major)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches(), n=st.integers(1, 3))
+@example(batch=([], 16), n=1)
+@example(batch=([[1], [], [2, 3], [0, 1, 2]], 4), n=3)
+def test_gram_table_equals_a_per_document_counter_in_code_then_doc_order(batch, n):
+    docs, base = batch
+    want = counter_table(docs, n, base)
+    doc, code, count = batch_table(docs, n, base)
     got = list(zip(code.tolist(), doc.tolist(), count.tolist()))
     assert got == [(c, d, k) for (c, d), k in sorted(want.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches(), n=st.integers(1, 3))
+@example(batch=([], 16), n=1)
+@example(batch=([[1], [], [2, 3], [0, 1, 2]], 4), n=3)
+def test_doc_major_gram_table_equals_a_per_document_counter_in_doc_then_code_order(batch, n):
+    docs, base = batch
+    want = counter_table(docs, n, base)
+    doc, code, count = batch_table(docs, n, base, doc_major=True)
+    got = list(zip(doc.tolist(), code.tolist(), count.tolist()))
+    assert got == [(d, c, want[c, d]) for d, c in sorted((d, c) for c, d in want)]
+
+
+@pytest.mark.parametrize("doc_major", [False, True])
+def test_gram_table_keys_past_int32_equal_the_counter(doc_major):
+    # 2**16 + 1 documents need 17 doc bits and byte 3-grams 24 code bits: 41 in
+    # all, so a key packed or shifted in int32 (the table's doc dtype) would wrap
+    rng = np.random.default_rng(3)
+    docs = rng.integers(0, 256, size=(2**16 + 1, 3)).tolist()
+    doc, code, count = batch_table(docs, 3, 256, doc_major)
+    want = counter_table(docs, 3, 256)
+    pairs = sorted((d, c) for c, d in want) if doc_major else sorted(want)
+    got = zip(doc.tolist(), code.tolist()) if doc_major else zip(code.tolist(), doc.tolist())
+    assert list(got) == pairs
+    assert count.tolist() == [1] * len(pairs)

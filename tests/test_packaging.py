@@ -29,6 +29,9 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     for name in ("predict", "predict_vector"):
         assert not hasattr(isagram.classify, name)
     assert not hasattr(isagram.sparse, "as_rows")
+    # feature rows are laid out from row-sorted blocks, with no general sort
+    assert not hasattr(isagram.sparse.CsrRows, "from_triples")
+    assert not hasattr(isagram.vectorize, "_hist_triples")
     # run_comparison is one repeat -> config -> kind loop, with no per-pair helper
     assert not hasattr(isagram.evaluate, "_evaluate_one")
     # each classifier kind is one row of classify._KINDS

@@ -80,13 +80,24 @@ def test_windows_never_cross_documents():
     assert list(zip(doc.tolist(), code.tolist())) == [(0, 1), (0, 2), (1, 3)]
 
 
-def test_csr_rows_from_int32_table_rows_past_int32_keys():
-    # table doc ids are int32; row * width + col must not wrap before sorting
-    rows = np.array([40000, 30000], dtype=np.int32)
-    X = CsrRows.from_triples(rows, np.array([5, 70000]), np.array([1.0, 2.0]), (40001, 70792))
-    assert X.indices.tolist() == [70000, 5]
-    assert X.data.tolist() == [2.0, 1.0]
-    assert X.indptr[30000:30002].tolist() == [0, 1]
+def test_rank_order_keys_past_int32_keep_each_row_apart():
+    # the 3-gram block goes from code to rank order within each row by a sort
+    # of doc << rank_bits | rank keys: with 2**18 + 1 rows and a 5000-gram
+    # vocabulary (13 bits) they pass 2**31, where keys of int32 doc ids wrap
+    c = corpus.generate_synthetic(corpus.default_isa_specs(12), 20, 66, seed=5)
+    schema = FeatureConfig("tfidf_byte").fit_transform(c)[0]
+    assert schema.vocab.codes3.shape[0] == 5000
+    last = c.documents[-1]
+    short = np.random.default_rng(4).integers(0, 256, size=3 * 2**18)
+    flat = np.concatenate((short, np.frombuffer(last.payload, dtype=np.uint8))).astype(np.int64)
+    offsets = np.append(np.arange(0, 3 * 2**18 + 1, 3), flat.shape[0])
+    blocks = vectorize._tfidf(flat, offsets, 256, schema.vocab)[1]
+    rows = vectorize._csr(2**18 + 1, schema.dimension, blocks).check()
+    alone = transform_rows(schema, [last])
+    lo, hi = rows.indptr[-2:]
+    assert np.array_equal(rows.indices[lo:hi], alone.indices)
+    assert np.array_equal(rows.data[lo:hi], alone.data)
+    assert (rows.indices[lo:hi] >= 256 + 65536).sum() > 10  # the row holds 3-grams
 
 
 ONE_COUNT_CONFIGS = [FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byte")] + [
