@@ -404,13 +404,17 @@ def test_criterion_8_external_dataset_ordering(capsys):
     byte_cfg = FeatureConfig("tfidf_byte")
     hist_cfg = FeatureConfig("hist_endian_byte")
     char_cfg = FeatureConfig("tfidf_char", codec.BASE16)
-    for kind in classify.KINDS:
-        r = evaluate.run_comparison(c, [byte_cfg, hist_cfg], [ClassifierSpec(kind)], split_spec)
-        if not r[0].mean_accuracy > r[1].mean_accuracy:
+    # one call: each repeat's split and features are shared by every kind
+    kinds = classify.KINDS
+    r = evaluate.run_comparison(
+        c, [byte_cfg, hist_cfg, char_cfg], [ClassifierSpec(kind) for kind in kinds], split_spec)
+    byte_r, hist_r, char_r = (r[i : i + len(kinds)] for i in range(0, len(r), len(kinds)))
+    for kind, tfidf, hist in zip(kinds, byte_r, hist_r):
+        if not tfidf.mean_accuracy > hist.mean_accuracy:
             problems.append(
-                f"{kind}: tfidf {r[0].mean_accuracy:.4f} <= hist {r[1].mean_accuracy:.4f}"
+                f"{kind}: tfidf {tfidf.mean_accuracy:.4f} <= hist {hist.mean_accuracy:.4f}"
             )
-    r = evaluate.run_comparison(c, [byte_cfg, char_cfg], [ClassifierSpec("cnb")], split_spec)
+    r = [byte_r[kinds.index("cnb")], char_r[kinds.index("cnb")]]
     train0, _ = corpus.split(c, split_spec, 0)
     dim_byte = byte_cfg.fit_transform(train0)[0].dimension
     dim_char = char_cfg.fit_transform(train0)[0].dimension
