@@ -22,7 +22,7 @@ from .classify import ClassifierSpec, TrainedModel, load_model, save_model
 from .evaluate import FeatureConfig, accuracy, fit_model, run_comparison
 from .vectorize import FeatureSchema, transform_rows
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "ClassifierSpec",
