@@ -333,7 +333,8 @@ def _csr(n_docs: int, width: int, blocks) -> CsrRows:
 
     Each block is sorted by row, then column, and every column of a block lies
     below those of the next, so a row is its blocks' runs laid end to end:
-    each value is written straight to its place, with no sort.
+    each value is written straight to its place, with no sort.  Each block is
+    taken off the list once written, so its memory is free for the next.
     """
     counts = [np.bincount(doc, minlength=n_docs) for doc, _, _ in blocks]
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
@@ -341,7 +342,8 @@ def _csr(n_docs: int, width: int, blocks) -> CsrRows:
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1], dtype=np.float64)
     filled = indptr[:-1].copy()  # where each row's next block starts
-    for (doc, col, value), count in zip(blocks, counts):
+    for count in counts:
+        doc, col, value = blocks.pop(0)
         shift = filled - (np.cumsum(count) - count)  # block position -> row position
         at = shift[doc]
         at += np.arange(doc.shape[0])
