@@ -198,19 +198,16 @@ def gram_table(
     then code (``doc << code_bits | code``), which is the order of CSR rows.
     """
     n_docs = offsets.shape[0] - 1
-    doc_bits, code_bits = (n_docs - 1).bit_length(), (base**n - 1).bit_length()
     m = max(flat.shape[0] - (n - 1), 0)  # windows of the flat array, doc ends ignored
     code = flat[:m].astype(np.int64)
     for j in range(1, n):
         code *= base
         code += flat[j : j + m]
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))[:m]
-    if doc_major:
-        key, low_bits = np.left_shift(doc, code_bits, out=doc), code_bits
-        key |= code
-    else:
-        key, low_bits = np.left_shift(code, doc_bits, out=code), doc_bits
-        key |= doc
+    high, low = (doc, code) if doc_major else (code, doc)
+    low_bits = (base**n - 1 if doc_major else n_docs - 1).bit_length()
+    key = np.left_shift(high, low_bits, out=high)
+    key |= low
     keep = np.ones(m, dtype=bool)
     for j in range(1, n):  # a window starting j terms before a doc's end runs past it
         start = offsets[1:] - j
@@ -274,7 +271,7 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
     sorted from code to rank order within each row.
     """
     d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
-    idfs, blocks = [], []
+    idfs, blocks, norm_sq = [], [], np.zeros(d_total)
     for n in (1, 2, 3):
         doc, code, count = gram_table(flat, offsets, n, base, doc_major=n < 3)
         if n == 3:  # the table's runs: its distinct codes, and each row's run
@@ -294,10 +291,7 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
         tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
         value = count * (idfs[-1][code] * tf_scale)
         if normalize:  # each row's squares add up in (n, code) order, one at a time
-            if n == 1:
-                norm_sq = np.bincount(doc, weights=value * value, minlength=d_total)
-            else:
-                np.add.at(norm_sq, doc, value * value)
+            np.add.at(norm_sq, doc, value * value)
         if n == 3:  # code to rank order within each row
             key = doc.astype(np.int64) << vocab.codes3.shape[0].bit_length()
             order = np.argsort(key | code)
