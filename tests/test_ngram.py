@@ -72,22 +72,26 @@ def batches(draw):
     return docs, base
 
 
-def counter_table(docs, n, base) -> dict:
-    """{(code, doc): count} of the length-n windows of term lists, one document at a time."""
+def counter_table(docs, n, base, doc_major=False) -> list:
+    """(doc, code, count) of the length-n windows of term lists, counted one
+    document at a time; sorted by doc, then code if ``doc_major``, else by
+    code, then doc."""
     want = {}
     for d, terms in enumerate(docs):
         for i in range(len(terms) - n + 1):
             code = 0
             for t in terms[i : i + n]:
                 code = code * base + t
-            want[code, d] = want.get((code, d), 0) + 1
-    return want
+            want[d, code] = want.get((d, code), 0) + 1
+    triples = [(d, c, k) for (d, c), k in want.items()]
+    return sorted(triples, key=lambda t: t[:2] if doc_major else (t[1], t[0]))
 
 
-def batch_table(docs, n, base, doc_major=False):
+def batch_table(docs, n, base, doc_major=False) -> list:
     flat = np.array([t for terms in docs for t in terms], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum([len(t) for t in docs]))).astype(np.int64)
-    return gram_table(flat, offsets, n, base, doc_major)
+    doc, code, count = gram_table(flat, offsets, n, base, doc_major)
+    return list(zip(doc.tolist(), code.tolist(), count.tolist()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -96,10 +100,7 @@ def batch_table(docs, n, base, doc_major=False):
 @example(batch=([[1], [], [2, 3], [0, 1, 2]], 4), n=3)
 def test_gram_table_equals_a_per_document_counter_in_code_then_doc_order(batch, n):
     docs, base = batch
-    want = counter_table(docs, n, base)
-    doc, code, count = batch_table(docs, n, base)
-    got = list(zip(code.tolist(), doc.tolist(), count.tolist()))
-    assert got == [(c, d, k) for (c, d), k in sorted(want.items())]
+    assert batch_table(docs, n, base) == counter_table(docs, n, base)
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,21 +109,12 @@ def test_gram_table_equals_a_per_document_counter_in_code_then_doc_order(batch, 
 @example(batch=([[1], [], [2, 3], [0, 1, 2]], 4), n=3)
 def test_doc_major_gram_table_equals_a_per_document_counter_in_doc_then_code_order(batch, n):
     docs, base = batch
-    want = counter_table(docs, n, base)
-    doc, code, count = batch_table(docs, n, base, doc_major=True)
-    got = list(zip(doc.tolist(), code.tolist(), count.tolist()))
-    assert got == [(d, c, want[c, d]) for d, c in sorted((d, c) for c, d in want)]
+    assert batch_table(docs, n, base, True) == counter_table(docs, n, base, True)
 
 
 @pytest.mark.parametrize("doc_major", [False, True])
 def test_gram_table_keys_past_int32_equal_the_counter(doc_major):
     # 2**16 + 1 documents need 17 doc bits and byte 3-grams 24 code bits: 41 in
     # all, so a key packed or shifted in int32 (the table's doc dtype) would wrap
-    rng = np.random.default_rng(3)
-    docs = rng.integers(0, 256, size=(2**16 + 1, 3)).tolist()
-    doc, code, count = batch_table(docs, 3, 256, doc_major)
-    want = counter_table(docs, 3, 256)
-    pairs = sorted((d, c) for c, d in want) if doc_major else sorted(want)
-    got = zip(doc.tolist(), code.tolist()) if doc_major else zip(code.tolist(), doc.tolist())
-    assert list(got) == pairs
-    assert count.tolist() == [1] * len(pairs)
+    docs = np.random.default_rng(3).integers(0, 256, size=(2**16 + 1, 3)).tolist()
+    assert batch_table(docs, 3, 256, doc_major) == counter_table(docs, 3, 256, doc_major)
