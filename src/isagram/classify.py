@@ -35,6 +35,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -168,9 +169,9 @@ def _fit_mnb(spec, X, y, n_classes):
 def _fit_cnb(spec, X, y, n_classes):
     _require_nonnegative(X, "cnb")
     alpha = float(spec.hyperparameters["alpha"])
-    F = _class_sums(X, y, n_classes, X.data)
-    comp = F.sum(axis=0, keepdims=True) - F
-    del F  # in place from here on, as in mnb
+    # each class's complement counts, in place from here on, as in mnb
+    comp = _class_sums(X, y, n_classes, X.data)
+    np.subtract(comp.sum(axis=0, keepdims=True), comp, out=comp)
     comp += alpha
     # weight is the negated complement log-probability: a feature common in
     # the complement of a class argues against that class
@@ -513,24 +514,13 @@ def _take_base64(record, key: str, dtype) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)  # ValueError unless the bytes are whole values
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
-    if a.dtype.kind == "f" and not np.isfinite(a).all():
-        raise ValueError("array holds NaN or inf")
-    return a
-
-
 def _decode_array(record, dtype: str) -> np.ndarray:
-    """Inverse of ``_encode_array`` as format 2.0 wrote it, every array whole: a read-only
-    view of the decoded bytes."""
-    _check_record(record, {"base64", "dtype", "shape"}, dtype)
-    # reshape raises ValueError unless the values fill the shape exactly
-    return _finite(_take_base64(record, "base64", dtype).reshape(_decode_shape(record["shape"])))
-
-
-def _decode_masked(record, dtype: str) -> np.ndarray:
-    """Inverse of ``_encode_array``, refusing a float64 record that it cannot write."""
+    """Inverse of ``_encode_array``: an int64 record as a read-only view of its bytes,
+    a float64 record refused unless ``_encode_array`` writes it."""
     if dtype != "<f8":
-        return _decode_array(record, dtype)
+        _check_record(record, {"base64", "dtype", "shape"}, dtype)
+        # reshape raises ValueError unless the values fill the shape exactly
+        return _take_base64(record, "base64", dtype).reshape(_decode_shape(record["shape"]))
     _check_record(record, {"dtype", "fill", "mask", "shape", "values"}, dtype)
     shape = _decode_shape(record["shape"])
     (n_rows, width), cells = _row_shape(shape), math.prod(shape)
@@ -563,10 +553,10 @@ def _decode_masked(record, dtype: str) -> np.ndarray:
     return out
 
 
-def _decode_csr(record, read_array) -> CsrRows:
-    indptr, indices = (read_array(record[f], "<i8") for f in ("indptr", "indices"))
+def _decode_csr(record) -> CsrRows:
+    indptr, indices = (_decode_array(record[f], "<i8") for f in ("indptr", "indices"))
     rows, cols = _decode_shape(record["shape"])
-    return CsrRows(indptr, indices, read_array(record["data"], "<f8"), (rows, cols)).check()
+    return CsrRows(indptr, indices, _decode_array(record["data"], "<f8"), (rows, cols)).check()
 
 
 def _check_parameters(kind: str, labels: tuple, schema, parameters: dict) -> None:
@@ -614,7 +604,7 @@ def _schema_to_dict(schema: Optional[vectorize.FeatureSchema]):
     return out
 
 
-def _schema_from_dict(data, read_array) -> Optional[vectorize.FeatureSchema]:
+def _schema_from_dict(data) -> Optional[vectorize.FeatureSchema]:
     if data is None:
         return None
     encoding = codec.get_encoding(data["encoding"]) if data["encoding"] else None
@@ -626,9 +616,9 @@ def _schema_from_dict(data, read_array) -> Optional[vectorize.FeatureSchema]:
             raise ValueError(f"vocabulary alphabet {vd['alphabet']!r} is not the encoding's")
         vocab = vectorize.GramVocabulary(
             codes3=vectorize.terms3_to_codes(vd["grams3"], alphabet),
-            idf1=read_array(vd["idf1"], "<f8"),
-            idf2=read_array(vd["idf2"], "<f8"),
-            idf3=read_array(vd["idf3"], "<f8"),
+            idf1=_decode_array(vd["idf1"], "<f8"),
+            idf2=_decode_array(vd["idf2"], "<f8"),
+            idf3=_decode_array(vd["idf3"], "<f8"),
             fit_corpus_size=vd["fit_corpus_size"],
         )
     return vectorize.FeatureSchema(
@@ -694,10 +684,9 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     """Verify the checksum, then the format version, then rebuild the model.
 
-    Format 2.x stores arrays as base64 binary and knn's training rows as CSR, and
-    from 2.1 on each float array as a fill per row, a mask and the differing values;
-    2.0 files, whose float arrays are whole, and 1.x files, which hold JSON number
-    lists and dense training rows, still load.
+    Format 2.1 and its later minors load: arrays as base64 binary, each float array
+    as a fill per row, a mask and the differing values, and knn's training rows as
+    CSR.  Release 1.1.0 reads formats 1.x and 2.0, and re-saves such a file as 2.1.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -721,20 +710,13 @@ def load_model(path) -> TrainedModel:
     try:
         payload = json.loads(text)
         del text
-        version = str(payload.get("format_version", ""))
+        version = payload.get("format_version")
     except (json.JSONDecodeError, AttributeError) as exc:
         raise ModelFormatError(f"unparsable model body: {exc}") from exc
-    major = version.split(".")[0]
-    if major not in ("1", FORMAT_VERSION.split(".")[0]):
-        raise ModelFormatError(
-            f"format version {version!r} incompatible with {FORMAT_VERSION}"
-        )
-    if major == "1":  # JSON number lists; knn's training rows dense
-        read_array = lambda value, dtype: _finite(np.asarray(value, dtype=dtype))
-        read_csr = lambda value: CsrRows.from_dense(read_array(value, "<f8"))
-    else:  # 2.0 stored float arrays whole, later minors as masks
-        read_array = _decode_array if version == "2.0" else _decode_masked
-        read_csr = lambda record: _decode_csr(record, read_array)
+    # a JSON string "2.<minor>", minor >= 1 in ASCII digits (read without int(), which
+    # takes other digits and refuses very long ones)
+    if not (isinstance(version, str) and re.fullmatch(r"2\.0*[1-9][0-9]*", version)):
+        raise ModelFormatError(f"format version {version!r} incompatible with {FORMAT_VERSION}")
     try:  # a checksum-valid body may still lack a field or hold a bad value
         # only the JSON types save_model writes, so a loaded model re-saves to its own bytes
         if type(payload["seed"]) is not int or not isinstance(payload["labels"], list):
@@ -742,12 +724,12 @@ def load_model(path) -> TrainedModel:
         spec = ClassifierSpec(payload["kind"], payload["hyperparameters"], payload["seed"])
         axes = _KINDS[spec.kind].axes
         parameters = {  # an undeclared name reads as float64, for _check_parameters to refuse
-            k: read_csr(v) if axes.get(k) == "ND"
-            else read_array(v, "<i8" if axes.get(k) == "N" else "<f8")
+            k: _decode_csr(v) if axes.get(k) == "ND"
+            else _decode_array(v, "<i8" if axes.get(k) == "N" else "<f8")
             for k, v in payload["parameters"].items()
         }
         model = TrainedModel(
-            schema=_schema_from_dict(payload["schema"], read_array),
+            schema=_schema_from_dict(payload["schema"]),
             spec=spec,
             labels=tuple(payload["labels"]),
             parameters=parameters,

@@ -1,10 +1,15 @@
 import base64
 import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracle_classify as oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isagram import classify, corpus, vectorize
 from isagram.classify import (
@@ -17,6 +22,7 @@ from isagram.classify import (
     predict_matrix,
     save_model,
 )
+from isagram.cli import main
 from isagram.corpus import Corpus, Document
 from isagram.evaluate import FeatureConfig, fit_model
 from isagram.sparse import CsrRows
@@ -71,6 +77,21 @@ def test_cnb_hand_computation():
     [label], [scores] = predict_matrix(model, CsrRows.from_dense([[1.0, 0.0]]))
     assert label == "A"
     assert scores[0] == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+def test_cnb_fit_writes_the_complement_in_place():
+    # 12 classes x 70 792 columns: a 6.8 MB weight array, next to 30 k stored values
+    train = corpus.generate_synthetic(corpus.default_isa_specs(12), 20, 66, seed=7)
+    _, X = FeatureConfig("tfidf_byte").fit_transform(train)
+    labels = [d.label for d in train]
+    tracemalloc.start()
+    try:
+        model = fit_vectors(ClassifierSpec("cnb"), X, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2.08x while the class sums and their complement were held side by side; 1.13x now
+    assert peak < 1.5 * model.parameters["feature_log_prob"].nbytes
 
 
 def test_gnb_hand_computation():
@@ -541,6 +562,40 @@ def test_load_rejects_bumped_major_version(tmp_path):
     rewrite_with_valid_checksum(path, lambda p: p.update(format_version=next_major))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
+
+
+# format_version values the writer never writes: 1.x and 2.0 load in release 1.1.0 only,
+# and a minor is ASCII digits ("²" is a digit to str.isdigit, "٣" to int and to \d)
+@pytest.mark.parametrize("version", ["1.0", "2.0", "2", "2.", "2.x", "2.²", "2.٣", "2.1.5",
+                                     "2.1\n", " 2.1", 2.1, 2, None], ids=repr)
+def test_load_refuses_a_version_the_writer_never_writes(capsys, tmp_path, version):
+    path = fitted_model_file(tmp_path)
+    rewrite_with_valid_checksum(path, lambda p: p.update(format_version=version))
+    with pytest.raises(ModelFormatError, match=f"format version {re.escape(repr(version))} incompatible"):
+        load_model(path)
+    queries = Path(__file__).parent / "fixtures" / "queries.jsonl"
+    assert main(["predict", "--model", str(path), "--input", str(queries)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: format version") and "incompatible" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["2.1", "2.7", "2.10", "2.01", "2.0", "1.0", "3.1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(version=JSON_VALUES)
+def test_any_json_version_loads_or_is_refused(tmp_path_factory, version):
+    path = fitted_model_file(tmp_path_factory.mktemp("version"))
+    rewrite_with_valid_checksum(path, lambda p: p.update(format_version=version))
+    try:
+        assert load_model(path).labels == ("A", "B")
+    except ModelFormatError:
+        pass
 
 
 def test_load_accepts_same_major_minor_bump(tmp_path):

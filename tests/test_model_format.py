@@ -1,4 +1,5 @@
-"""Model files: earlier formats still load, saving is canonical, size follows nnz."""
+"""Model files: format 2.1 loads and earlier formats are refused, saving is canonical,
+size follows nnz."""
 
 import base64
 import dataclasses
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isagram import classify, corpus
-from isagram.classify import ClassifierSpec, load_model, predict_corpus, save_model
+from isagram.classify import ClassifierSpec, load_model, save_model
 from isagram.cli import main
 from isagram.evaluate import FeatureConfig, fit_model
 from isagram.sparse import CsrRows
@@ -23,56 +24,22 @@ from test_classify import float64_record, float64_values, rewrite_with_valid_che
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.mark.parametrize("name", ["format1_hist_byte_cnb", "format1_tfidf_char_base16_knn"])
-def test_format1_fixture_reproduces_recorded_output(capsys, name):
-    # written by the 1.0 writer; see fixtures/README.md
+@pytest.mark.parametrize("name", ["format1_hist_byte_cnb", "format1_tfidf_char_base16_knn",
+                                  "format2_hist_byte_cnb", "format2_tfidf_char_base16_knn"])
+def test_legacy_fixture_is_refused(capsys, name):
+    # written in format 1.0 or 2.0, which release 1.1.0 reads and this one refuses; see
+    # fixtures/README.md
     model_path = FIXTURES / f"{name}.model"
-    assert model_path.read_bytes().startswith(b'{"format_version": "1.0"')
-    queries = FIXTURES / "queries.jsonl"
-    assert main(["predict", "--model", str(model_path), "--input", str(queries)]) == 0
-    assert capsys.readouterr().out == (FIXTURES / f"{name}.predict.txt").read_text()
-    expected = json.loads((FIXTURES / "format1_scores.json").read_text())[name]
-    model = load_model(model_path)
-    assert list(model.labels) == expected["labels"]
-    scores = predict_corpus(model, corpus.ingest(queries))[1]
-    assert [[float(v).hex() for v in row] for row in scores] == expected["scores"]
-
-
-def set_first(*keys, value):
-    """An edit that sets the first number of the nested JSON list at ``keys`` to ``value``."""
-    def edit(p):
-        for key in keys:
-            p = p[key]
-        while isinstance(p[0], list):
-            p = p[0]
-        p[0] = value
-    return edit
-
-
-# checksum-valid edits of the format-1.0 fixtures that put NaN or inf in a JSON
-# number list, which a 1.x file can hold and the 2.x readers already refuse
-NONFINITE_FORMAT1 = {
-    "nan-in-cnb-weights": ("format1_hist_byte_cnb", set_first("parameters", "feature_log_prob", value=math.nan)),
-    "nan-in-knn-training-rows": ("format1_tfidf_char_base16_knn",
-                                 set_first("parameters", "train_matrix", value=math.nan)),
-    "inf-in-cnb-weights": ("format1_hist_byte_cnb", set_first("parameters", "feature_log_prob", value=math.inf)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NONFINITE_FORMAT1))
-def test_format1_array_with_nan_or_inf_is_refused(capsys, tmp_path, case):
-    name, edit = NONFINITE_FORMAT1[case]
-    path = tmp_path / f"{name}.model"
-    path.write_bytes((FIXTURES / f"{name}.model").read_bytes())
-    rewrite_with_valid_checksum(path, edit)
-    with pytest.raises(classify.ModelFormatError, match="malformed model body.*NaN or inf"):
-        load_model(path)
-    assert main(["predict", "--model", str(path), "--input", str(FIXTURES / "queries.jsonl")]) == 2
+    version = "1.0" if name.startswith("format1_") else "2.0"
+    assert model_path.read_bytes().startswith(b'{"format_version": "%s"' % version.encode())
+    with pytest.raises(classify.ModelFormatError, match=f"format version '{version}' incompatible"):
+        load_model(model_path)
+    assert main(["predict", "--model", str(model_path), "--input", str(FIXTURES / "queries.jsonl")]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("data error: malformed model body")
+    assert out == "" and err.startswith(f"data error: format version '{version}' incompatible")
 
 
-# train flags of the format-2.x fixtures, besides --corpus train.jsonl --seed 3
+# train flags of the format-2.1 fixtures, besides --corpus train.jsonl --seed 3
 FIXTURE_FLAGS = {
     "hist_byte_cnb": ["--features", "hist-byte", "--model", "cnb"],
     "tfidf_char_base16_knn": ["--features", "tfidf-char", "--encoding", "base16",
@@ -80,14 +47,12 @@ FIXTURE_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("name", [f"{version}_{model}" for version in ("format2", "format21")
-                                  for model in sorted(FIXTURE_FLAGS)])
+@pytest.mark.parametrize("name", [f"format21_{model}" for model in sorted(FIXTURE_FLAGS)])
 def test_format2_fixture_is_read_resaved_and_retrained_unchanged(capsys, tmp_path, name):
-    # format2_* written by an earlier 2.0 writer, format21_* by the current one; see
-    # fixtures/README.md.  Both re-save, as a retrain writes, to the 2.1 file's bytes
+    # written by the first 2.1 writer; see fixtures/README.md
     model_path, queries = FIXTURES / f"{name}.model", FIXTURES / "queries.jsonl"
     model = name.split("_", 1)[1]
-    current = (FIXTURES / f"format21_{model}.model").read_bytes()
+    current = model_path.read_bytes()
     assert main(["predict", "--model", str(model_path), "--input", str(queries)]) == 0
     assert capsys.readouterr().out == (FIXTURES / f"{name}.predict.txt").read_text()
     save_model(load_model(model_path), tmp_path / "resaved.model")
@@ -98,8 +63,8 @@ def test_format2_fixture_is_read_resaved_and_retrained_unchanged(capsys, tmp_pat
 
 
 @pytest.mark.parametrize("source, schema_edit", [
-    ("format2_tfidf_char_base16_knn", {"encoding": "base32"}),
-    ("format2_tfidf_char_base16_knn", {"method": "tfidf_byte", "encoding": None}),
+    ("format21_tfidf_char_base16_knn", {"encoding": "base32"}),
+    ("format21_tfidf_char_base16_knn", {"method": "tfidf_byte", "encoding": None}),
     ("tfidf-byte", {"method": "tfidf_char", "encoding": "base16"}),
 ], ids=["base16-vocabulary-under-base32", "char-vocabulary-under-byte",
         "byte-vocabulary-under-base16"])
@@ -144,7 +109,7 @@ GRAMS3_EDITS = {
 }
 
 
-@pytest.mark.parametrize("source", ["tfidf-byte", "format2_tfidf_char_base16_knn"],
+@pytest.mark.parametrize("source", ["tfidf-byte", "format21_tfidf_char_base16_knn"],
                          ids=["byte", "char-base16"])
 @pytest.mark.parametrize("case", sorted(GRAMS3_EDITS))
 def test_3gram_terms_that_fitting_cannot_write_are_refused(capsys, tmp_path, case, source):
@@ -310,7 +275,7 @@ def test_float_record_is_the_reference_encoding_and_decodes_to_the_same_bits(row
     record = {k: base64.b64encode(v.tobytes()).decode() if isinstance(v, np.ndarray) else v
               for k, v in classify._encode_array(a).items()}
     assert record == float64_record(a)
-    decoded = classify._decode_masked(dict(record), "<f8")
+    decoded = classify._decode_array(dict(record), "<f8")
     assert decoded.shape == a.shape and decoded.tobytes() == a.tobytes()
 
 

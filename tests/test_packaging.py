@@ -42,6 +42,9 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
         assert not hasattr(isagram.cli, name)
     for name in ("_score_mnb", "_score_cnb", "_score_perceptron", "_score_linear"):
         assert not hasattr(isagram.classify, name)
+    # load_model reads format 2.1 and later minors alone, through one array decoder
+    for name in ("_finite", "_decode_masked"):
+        assert not hasattr(isagram.classify, name)
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]
