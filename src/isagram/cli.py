@@ -147,8 +147,6 @@ def _input_docs(args) -> Iterator[Document]:
             data, doc_id = sys.stdin.buffer.read(), "-"
         else:
             data, doc_id = Path(args.input).read_bytes(), Path(args.input).name
-        if not data:
-            raise CorpusError("raw input is empty")
         return iter([Document(data, None, doc_id)])
     if args.input == "-":
         return corpus_mod.iter_lines(sys.stdin, "<stdin>")

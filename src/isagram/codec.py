@@ -100,10 +100,6 @@ def _runs(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def encode(kind: Encoding, payload: bytes) -> str:
     """Encode raw bytes to text; Base16 output is uppercase."""
-    return _encode(kind, payload)
-
-
-def _encode(kind: Encoding, payload: bytes) -> str:
     if kind.name == "base16":
         return base64.b16encode(payload).decode("ascii")
     if kind.name == "base32":
@@ -135,7 +131,7 @@ def decode(kind: Encoding, text: str) -> bytes:
         raise
     except ValueError as exc:  # binascii.Error, or non-ASCII text in the stdlib decoders
         raise DecodeError(f"{kind.name}: {exc}") from exc
-    if _encode(kind, data) != (text.upper() if kind.name == "base16" else text):
+    if encode(kind, data) != (text.upper() if kind.name == "base16" else text):
         raise DecodeError(f"{kind.name}: not the canonical encoding of the bytes it decodes to")
     return data
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,11 +25,30 @@ class CorpusError(ValueError):
     """Corpus cannot be built or split as requested."""
 
 
+# code points a label or id may not hold: ASCII controls, which would split a line
+# of predict's output or a CSV row, and surrogates, which UTF-8 cannot encode (a
+# JSON escape or a non-UTF-8 file name leaves one)
+_UNWRITABLE = re.compile(r"[\x00-\x1f\x7f\ud800-\udfff]")
+
+
 @dataclass(frozen=True)
 class Document:
+    """A nonempty payload with its label (None when unknown) and id; raises CorpusError if not."""
+
     payload: bytes
     label: Optional[str]
     id: str
+
+    def __post_init__(self):
+        if not self.payload:
+            raise CorpusError("empty payload")
+        if self.label is not None and not isinstance(self.label, str):
+            raise CorpusError(f"label must be a string or null, got {type(self.label).__name__}")
+        if not isinstance(self.id, str):
+            raise CorpusError(f"id must be a string, got {type(self.id).__name__}")
+        if bad := _UNWRITABLE.search(self.id + (self.label or "")):
+            raise CorpusError("label or id is not valid Unicode" if bad[0] > "\x7f"
+                              else "label or id holds an ASCII control character")
 
 
 class Corpus:
@@ -38,8 +58,6 @@ class Corpus:
         docs = tuple(documents)
         seen = set()
         for d in docs:
-            if len(d.payload) < 1:
-                raise CorpusError(f"document {d.id!r} has an empty payload")
             if d.id in seen:
                 raise CorpusError(f"duplicate document id {d.id!r}")
             seen.add(d.id)
@@ -132,10 +150,11 @@ class SyntheticIsaSpec:
 def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> Corpus:
     """Load a corpus from a jsonl file or a <root>/<label>/<file> tree.
 
-    Malformed records (bad JSON, missing or undecodable payload, empty
-    payload, a label that is not a string or null) are skipped with a
-    warning; only a corpus with zero valid records is an error unless
-    ``allow_empty`` is set, and a file that is not UTF-8 text is one too.
+    A record that cannot be a ``Document`` (bad JSON, a missing or
+    undecodable payload, or a payload, label or id that ``Document``
+    refuses) is skipped with a warning; only a corpus with zero valid
+    records is an error unless ``allow_empty`` is set, and a file that is
+    not UTF-8 text is one too.
     """
     path = Path(path)
     if not path.exists():
@@ -143,9 +162,10 @@ def ingest(path: str | Path, fmt: str = "jsonl", allow_empty: bool = False) -> C
     if fmt == "jsonl":
         return Corpus(list(iter_jsonl(path, allow_empty)))
     if fmt == "directory":
-        docs, skipped = _ingest_directory(path)
-        _report(len(docs), skipped, str(path), allow_empty)
-        return Corpus(docs)
+        files = ((f, f.read_bytes(), label.name, f"{label.name}/{f.name}")
+                 for label in sorted(p for p in path.iterdir() if p.is_dir())
+                 for f in sorted(p for p in label.iterdir() if p.is_file()))
+        return Corpus(list(_documents(Document, files, str(path), allow_empty)))
     raise CorpusError(f"unknown corpus format {fmt!r}")
 
 
@@ -163,65 +183,37 @@ def iter_lines(lines: Iterable[str], source: str, allow_empty: bool = False) -> 
     as in ``ingest``; once the lines run out, the skipped count is logged,
     and zero valid records is a CorpusError unless ``allow_empty`` is set.
     """
-    valid = skipped = 0
+    records = ((f"line {n}", n, line)
+               for n, line in enumerate(map(str.strip, lines), start=1) if line)
     try:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                payload = codec.decode(codec.BASE64, rec["data_b64"])
-            except (json.JSONDecodeError, KeyError, TypeError, codec.DecodeError) as exc:
-                log.warning("line %d: %s", lineno, exc)
-                skipped += 1
-                continue
-            label, doc_id = rec.get("label"), str(rec.get("id", lineno))
-            problem = _record_problem(payload, label, doc_id)
-            if problem:
-                log.warning("line %d: %s", lineno, problem)
-                skipped += 1
-                continue
-            valid += 1
-            yield Document(payload, label, doc_id)
+        yield from _documents(_jsonl_document, records, source, allow_empty)
     except UnicodeDecodeError as exc:  # raised while reading the next line
         raise CorpusError(f"{source} is not UTF-8 text: {exc}") from exc
-    _report(valid, skipped, source, allow_empty)
 
 
-def _report(valid: int, skipped: int, source: str, allow_empty: bool) -> None:
+def _jsonl_document(lineno: int, line: str) -> Document:
+    rec = json.loads(line)
+    payload = codec.decode(codec.BASE64, rec["data_b64"])
+    return Document(payload, rec.get("label"), str(rec.get("id", lineno)))
+
+
+def _documents(build, records: Iterable, source: str, allow_empty: bool) -> Iterator[Document]:
+    """``build(*args)`` for every ``(where, *args)`` record; a record it cannot
+    build is skipped with a warning that names ``where``, and counted."""
+    valid = skipped = 0
+    for where, *args in records:
+        try:
+            doc = build(*args)
+        except (ValueError, KeyError, TypeError) as exc:  # CorpusError, DecodeError, bad JSON
+            log.warning("%s: %s", where, exc)
+            skipped += 1
+            continue
+        valid += 1
+        yield doc
     if skipped:
         log.warning("skipped %d malformed record(s) while ingesting %s", skipped, source)
     if not valid and not allow_empty:
         raise CorpusError(f"zero valid records in {source}")
-
-
-def _record_problem(payload: bytes, label, doc_id: str) -> Optional[str]:
-    """Why a decoded jsonl record cannot be a document, or None."""
-    if not payload:
-        return "empty payload"
-    if label is not None and not isinstance(label, str):
-        return f"label must be a string or null, got {type(label).__name__}"
-    try:  # a JSON string may hold lone surrogates, which no output can print
-        doc_id.encode("utf-8")
-        if label:
-            label.encode("utf-8")
-    except UnicodeEncodeError:
-        return "label or id is not valid Unicode"
-    return None
-
-
-def _ingest_directory(path: Path) -> tuple[list[Document], int]:
-    docs, skipped = [], 0
-    for label_dir in sorted(p for p in path.iterdir() if p.is_dir()):
-        for f in sorted(p for p in label_dir.iterdir() if p.is_file()):
-            payload = f.read_bytes()
-            if not payload:
-                log.warning("%s: empty file", f)
-                skipped += 1
-                continue
-            docs.append(Document(payload, label_dir.name, f"{label_dir.name}/{f.name}"))
-    return docs, skipped
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> int:

@@ -95,7 +95,7 @@ def render_report(report: EvaluationReport, format: str = "csv") -> str:
 
 def confusion_csv(report: EvaluationReport) -> str:
     """Confusion matrix with labeled axes plus per-class precision/recall."""
-    lines = ["label," + ",".join(report.labels) + ",precision,recall"]
+    lines = ["label," + ",".join(map(vectorize.csv_field, report.labels)) + ",precision,recall"]
     conf = report.confusion
     col_sums = conf.sum(axis=0)
     row_sums = conf.sum(axis=1)
@@ -104,5 +104,5 @@ def confusion_csv(report: EvaluationReport) -> str:
         precision = float(diag / col_sums[i]) if col_sums[i] else 0.0
         recall = float(diag / row_sums[i]) if row_sums[i] else 0.0
         cells = ",".join(str(int(c)) for c in conf[i])
-        lines.append(f"{label},{cells},{precision!r},{recall!r}")
+        lines.append(f"{vectorize.csv_field(label)},{cells},{precision!r},{recall!r}")
     return "\n".join(lines) + "\n"

@@ -397,6 +397,12 @@ def transform_rows(schema: FeatureSchema, docs: Sequence[Document]) -> CsrRows:
     return _csr(len(docs), schema.dimension, blocks)
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where csv.writer's QUOTE_MINIMAL quotes it
+    (a Document's label or id holds no line break)."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
 def export_features(rows: CsrRows, corpus: Corpus, path) -> int:
     """CSV export of ``corpus``'s feature rows: header id,label,f0..f{d-1};
     full-precision decimal values."""
@@ -413,5 +419,5 @@ def export_features(rows: CsrRows, corpus: Corpus, path) -> int:
                             rows.data[bounds[r] : bounds[r + 1]].tolist()):
                 cells[j] = repr(v)
             label = d.label if d.label is not None else ""
-            fh.write(",".join([d.id, label, *cells]) + "\n")
+            fh.write(",".join([csv_field(d.id), csv_field(label), *cells]) + "\n")
     return len(corpus)

@@ -433,7 +433,47 @@ def test_predict_raw_empty_file_is_data_error(capsys, tmp_path, knn_model):
         capsys, "predict", "--model", str(model_path), "--input", str(empty), "--format", "raw"
     )
     assert (rc, out) == (2, "")
-    assert err == "data error: raw input is empty\n"
+    assert err == "data error: empty payload\n"
+
+
+def run_strict(*argv):
+    """``python -m isagram`` whose stdout is strict UTF-8, as in a UTF-8 desktop locale."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"}
+    return subprocess.run([sys.executable, "-m", "isagram", *argv], capture_output=True,
+                          env=env, timeout=300)
+
+
+def test_predict_raw_on_a_non_utf8_file_name_is_data_error(tmp_path, knn_model):
+    _, model_path, c = knn_model
+    raw = tmp_path / os.fsdecode(b"raw\xfe.bin")
+    raw.write_bytes(c.documents[0].payload)
+    done = run_strict("predict", "--model", str(model_path), "--input", str(raw), "--format", "raw")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"data error: label or id is not valid Unicode\n"
+
+
+def test_predict_raw_file_name_with_a_control_character(capsys, monkeypatch, tmp_path, knn_model):
+    _, model_path, c = knn_model
+    raw = tmp_path / "x\ty.bin"
+    raw.write_bytes(c.documents[0].payload)
+    rc, out, err = run(
+        capsys, "predict", "--model", str(model_path), "--input", str(raw), "--format", "raw"
+    )
+    assert (rc, out, err) == (2, "", "data error: label or id holds an ASCII control character\n")
+    # the same bytes on stdin are named "-" and scored
+    monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(raw.read_bytes())))
+    rc, out, _ = run(capsys, "predict", "--model", str(model_path), "--input", "-", "--format", "raw")
+    assert rc == 0 and out.startswith(f"-\t{c.documents[0].label}\t") and out.count("\n") == 1
+
+
+def test_predict_skips_a_jsonl_id_with_a_tab_or_newline(capsys, monkeypatch, knn_model):
+    _, model_path, c = knn_model
+    b64 = base64.b64encode(c.documents[5].payload).decode()
+    lines = [json.dumps({"id": doc_id, "data_b64": b64}) for doc_id in ("x\ty\nz", "q1")]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    rc, out, _ = run(capsys, "predict", "--model", str(model_path), "--input", "-")
+    assert rc == 0 and out.count("\n") == 1 and out.startswith("q1\t")
 
 
 def test_predict_jsonl_from_stdin(capsys, monkeypatch, knn_model):
@@ -735,8 +775,34 @@ def test_featurize_dir_corpus_skips_an_empty_file(capsys, tmp_path, caplog):
     )
     assert (rc, out) == (0, "wrote 2 rows\n")
     assert [line.split(",")[0] for line in out_csv.read_text().splitlines()[1:]] == ["a/0.bin", "b/0.bin"]
-    assert "1.bin: empty file" in caplog.text
+    assert "1.bin: empty payload" in caplog.text
     assert "skipped 1 malformed record(s)" in caplog.text
+
+
+def test_dir_corpus_skips_a_class_whose_name_is_not_utf8(tmp_path):
+    # under a strict UTF-8 stdout the class name could be neither printed nor written
+    root = tmp_path / "corpus"
+    names = {"isa00": "isa00", "isa01": "isa01", "isa02": os.fsdecode(b"a\xff")}
+    for d in corpus.generate_synthetic(corpus.default_isa_specs(3), 12, 48, 5):
+        (root / names[d.label]).mkdir(parents=True, exist_ok=True)
+        (root / names[d.label] / f"{d.id.split('/')[1]}.bin").write_bytes(d.payload)
+    common = ["--corpus", str(root), "--format", "dir", "--features", "hist-byte"]
+    outs = {}
+    for argv in (
+        ["train", "--model", "cnb", "--out", str(tmp_path / "m.model")],
+        ["evaluate", "--models", "cnb", "--repeats", "2", "--train-per-class", "8",
+         "--test-per-class", "4", "--out-dir", str(tmp_path / "eval")],
+        ["featurize", "--out", str(tmp_path / "f.csv")],
+    ):
+        done = run_strict(*argv, *common)
+        assert done.returncode == 0, done.stderr
+        assert b"a\\udcff/00000.bin: label or id is not valid Unicode" in done.stderr
+        assert b"skipped 12 malformed record(s)" in done.stderr
+        outs[argv[0]] = done.stdout.decode()
+    assert outs["train"].endswith("documents 24\nclass isa00 12\nclass isa01 12\n")
+    assert outs["featurize"] == "wrote 24 rows\n"
+    confusion = (tmp_path / "eval" / "confusion_hist-endian-byte_cnb.csv").read_text()
+    assert confusion.startswith("label,isa00,isa01,precision,recall\n")
 
 
 def test_featurize_empty_corpus_header_only(capsys, tmp_path):

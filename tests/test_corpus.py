@@ -33,6 +33,30 @@ def test_corpus_invariants():
         Corpus([Document(b"\x01", "a", "x"), Document(b"\x02", "b", "x")])
 
 
+@pytest.mark.parametrize("payload, label, doc_id, message", [
+    (b"", "a", "x", "empty payload"),
+    (b"\x01", 3, "x", "label must be a string or null, got int"),
+    (b"\x01", "a", 7, "id must be a string, got int"),
+    (b"\x01", "a\ud800", "x", "label or id is not valid Unicode"),
+    (b"\x01", None, "raw\udcfe.bin", "label or id is not valid Unicode"),
+    (b"\x01", "a\tb", "x", "label or id holds an ASCII control character"),
+    (b"\x01", "a", "x\ty\nz", "label or id holds an ASCII control character"),
+    (b"\x01", "a", "\x00", "label or id holds an ASCII control character"),
+    (b"\x01", "\x7f", "x", "label or id holds an ASCII control character"),
+], ids=["empty-payload", "int-label", "int-id", "surrogate-label", "surrogate-id", "tab-label",
+        "newline-id", "nul-id", "del-label"])
+def test_document_refuses_what_it_cannot_hold(payload, label, doc_id, message):
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        Document(payload, label, doc_id)
+
+
+def test_document_takes_any_other_text():
+    # a comma, a quote, a C1 control, a no-break space and non-ASCII letters are text
+    for text in ("x86,64", 'say "hi"', "\x80", "\u00a0", "ärm64 中", ""):
+        assert Document(b"\x01", text, text).label == text
+    assert Document(b"\x01", None, "-").label is None
+
+
 def test_subset_takes_checked_documents_and_keeps_its_own_labels(monkeypatch):
     c = make_corpus(3)
     with monkeypatch.context() as m:  # a subset is not checked again
@@ -103,6 +127,37 @@ def test_ingest_skips_noncanonical_base64(tmp_path, caplog):
         got = corpus.ingest(path, "jsonl")
     assert [d.id for d in got] == ["canonical"]
     assert "1 malformed" in caplog.text
+
+
+def test_ingest_skips_a_tab_or_newline_in_label_or_id(tmp_path, caplog):
+    # predict prints one tab-separated line per document, and the CSVs are line-based
+    path = tmp_path / "controls.jsonl"
+    records = [("ok", "a"), ("x\ty\nz", "a"), ("tab", "a\tb"), ("nl", 'is\na,0"')]
+    path.write_text("".join(json.dumps({"id": i, "label": label, "data_b64": "AAEC"}) + "\n"
+                            for i, label in records))
+    with caplog.at_level(logging.WARNING, logger="isagram.corpus"):
+        assert [d.id for d in corpus.ingest(path, "jsonl")] == ["ok"]
+    assert "line 2: label or id holds an ASCII control character" in caplog.text
+    assert "skipped 3 malformed" in caplog.text
+    root = tmp_path / "tree"
+    for label, name in [("a", "ok.bin"), ("a", "x\ty.bin"), ("a", "n\n.bin"), ("b\tc", "z.bin")]:
+        (root / label).mkdir(parents=True, exist_ok=True)
+        (root / label / name).write_bytes(b"\x01\x02")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="isagram.corpus"):
+        got = corpus.ingest(root, "directory")
+    assert [d.id for d in got] == ["a/ok.bin"] and got.label_set == ("a",)
+    assert "skipped 3 malformed" in caplog.text
+
+
+def test_ingest_skips_an_integer_too_long_to_parse(tmp_path, caplog):
+    # json.loads raises a plain ValueError past Python's 4300-digit limit
+    path = tmp_path / "bigint.jsonl"
+    path.write_text('{"id": ' + "1" * 5000 + ', "data_b64": "AAEC"}\n'
+                    + json.dumps({"id": "ok", "data_b64": "AAEC"}) + "\n")
+    with caplog.at_level(logging.WARNING, logger="isagram.corpus"):
+        assert [d.id for d in corpus.ingest(path, "jsonl")] == ["ok"]
+    assert "line 1: Exceeds the limit" in caplog.text
 
 
 def test_ingest_zero_valid_records(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import weakref
 
 import numpy as np
@@ -301,6 +303,20 @@ def test_render_csv_parses_back():
     for fmt in ("yaml", "text_table"):
         with pytest.raises(ValueError):
             render_report(report, fmt)
+
+
+def test_confusion_csv_quotes_a_comma_or_quote_as_csv_writer_does():
+    labels = ("plain", 'say "hi"', "x86,64")
+    report = evaluate.EvaluationReport(
+        (0.5,), 0.5, 0.0, np.array([[1, 0, 0], [1, 1, 0], [0, 2, 1]]), labels,
+        FeatureConfig("hist_endian_byte"), ClassifierSpec("cnb"), SplitSpec(1, 1, 0, 1))
+    text = confusion_csv(report)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["label", *labels, "precision", "recall"]
+    assert [row[0] for row in rows[1:]] == list(labels)
+    assert rows[3][1:4] == ["0", "2", "1"]
+    assert text.splitlines()[0] == 'label,plain,"say ""hi""","x86,64",precision,recall'
+    assert text.splitlines()[1] == "plain,1,0,0,0.5,1.0"
 
 
 def test_confusion_csv_precision_recall():

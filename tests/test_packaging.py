@@ -45,6 +45,10 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     # load_model reads format 2.1 and later minors alone, through one array decoder
     for name in ("_finite", "_decode_masked"):
         assert not hasattr(isagram.classify, name)
+    # a Document checks its own payload, label and id; encode is the encoder itself
+    for name in ("_record_problem", "_report", "_ingest_directory"):
+        assert not hasattr(isagram.corpus, name)
+    assert not hasattr(isagram.codec, "_encode")
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 import os
 import random
@@ -398,22 +399,6 @@ def test_short_docs_zero_higher_blocks():
     assert np.count_nonzero(row1[256:]) == 0
 
 
-def test_zero_length_payload_leaves_zero_row():
-    schema = FeatureConfig("tfidf_byte").fit_transform(rand_corpus(63, 4, 8))[0]
-    row = transform_rows(schema, [Document(b"", None, "q")]).toarray()[0]
-    assert not row.any()
-
-
-@pytest.mark.parametrize("mode, enc", [("byte", None), ("char", codec.BASE32)])
-def test_zero_length_payload_leaves_zero_hist_row(mode, enc):
-    schema = FeatureSchema(f"hist_endian_{mode}", enc)
-    docs = [Document(b"", None, "q"), Document(b"\x00\x01", None, "r")]
-    rows = transform_rows(schema, docs).toarray()
-    assert rows.shape == (2, schema.dimension)
-    assert not rows[0].any()
-    assert rows[1].any()
-
-
 def test_unit_norm_unless_disabled():
     c = rand_corpus(64, 8, 40)
     on = transform_rows(FeatureConfig("tfidf_byte").fit_transform(c)[0], c.documents)
@@ -551,6 +536,25 @@ def test_export_features_roundtrip(tmp_path):
     for row, doc, expect in zip(rows[1:], c, want):
         assert row[0] == doc.id and row[1] == "x86"
         assert np.array_equal(np.array([float(v) for v in row[2:]]), expect)
+
+
+def test_export_features_quotes_a_comma_or_quote_as_csv_writer_does(tmp_path):
+    c = Corpus([Document(b"\x01\x02", "x86,64", 'say "hi"'),
+                Document(b"\x03\x04", 'say "hi"', "x86,64"),
+                Document(b"\x05\x06", None, "plain")])
+    _, rows = FeatureConfig("hist_endian_byte").fit_transform(c)
+    path = tmp_path / "features.csv"
+    vectorize.export_features(rows, c, path)
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert [row[:2] for row in got[1:]] == [['say "hi"', "x86,64"], ["x86,64", 'say "hi"'],
+                                             ["plain", ""]]
+    lines = path.read_text().splitlines()
+    for line, row in zip(lines[1:], got[1:]):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="").writerow(row)
+        assert line == text.getvalue()
+    assert lines[3].startswith("plain,,")
 
 
 def test_export_features_empty_corpus(tmp_path):
