@@ -194,7 +194,8 @@ def iter_lines(lines: Iterable[str], source: str, allow_empty: bool = False) -> 
 def _jsonl_document(lineno: int, line: str) -> Document:
     rec = json.loads(line)
     payload = codec.decode(codec.BASE64, rec["data_b64"])
-    return Document(payload, rec.get("label"), str(rec.get("id", lineno)))
+    rid = rec.get("id")  # a missing or null id is the line number
+    return Document(payload, rec.get("label"), str(lineno if rid is None else rid))
 
 
 def _documents(build, records: Iterable, source: str, allow_empty: bool) -> Iterator[Document]:

@@ -18,13 +18,14 @@ alone (``FeatureSchema.alphabet``): a term is a raw byte, or in char mode a
 character's rank in the sorted alphabet, and a vocabulary holds only what
 was fitted on top of that.  Each batch is encoded once (``_terms``; in char
 mode one vectorised ``codec.encode_digits`` call) and counted once:
-``gram_table`` gives the distinct (doc, code, count) triples for each
-n = 1, 2, 3 from one sort of shift-packed int64 keys, in the order its
-reader wants.  The 1- and 2-gram tables are doc-major, so their TF-IDF
-blocks already lie in CSR order.  The 3-gram table is code-major, so its
-distinct codes are its runs: selection ranks only those, and the vocabulary
-lookup searches each of them once; its block alone is then sorted into rank
-order within each row.  ``_csr`` writes each block straight into the rows,
+Terms are uint8, and ``gram_table`` gives the distinct (doc, code, count)
+triples for each n = 1, 2, 3 from one sort of shift-packed keys, int32 where
+code and doc fit in 31 bits and int64 otherwise, in the order its reader
+wants.  The 1- and 2-gram tables are doc-major, so their TF-IDF blocks
+already lie in CSR order.  The 3-gram table is code-major, so its distinct
+codes are its runs: a fit ranks only those, with one sort, and a transform
+looks each of them up once in the vocabulary; its block alone is then sorted
+into rank order within each row.  ``_csr`` writes each block straight into the rows,
 with no sort of the whole batch.  One pass over n reads each table both to
 fit and to transform.  ``FeatureConfig.fit_transform`` fits a schema and
 returns the training rows from one such pass, and ``transform_rows`` applies
@@ -173,15 +174,16 @@ class FeatureSchema:
 def _terms(docs: Sequence[Document], encoding) -> tuple[np.ndarray, np.ndarray]:
     """Term codes of a batch (byte values or sorted-alphabet ranks), concatenated.
 
-    Returns the flat code array and offsets of length len(docs) + 1; in char
-    mode the whole batch is encoded in one ``codec.encode_digits`` call.
+    Returns the flat uint8 code array and offsets of length len(docs) + 1; in
+    char mode the whole batch is encoded in one ``codec.encode_digits`` call.
     """
     payloads = [d.payload for d in docs]
     if encoding is not None:
         digits, offsets = codec.encode_digits(encoding, payloads)
         symbols = np.frombuffer(encoding.alphabet.encode("ascii"), dtype=np.uint8)
-        return np.argsort(np.argsort(symbols))[digits], offsets  # digit -> rank
-    flat = np.frombuffer(b"".join(payloads), dtype=np.uint8).astype(np.int64)
+        rank = np.argsort(np.argsort(symbols)).astype(np.uint8)  # digit -> rank, < 85
+        return rank[digits], offsets
+    flat = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     return flat, np.concatenate(([0], np.cumsum([len(p) for p in payloads], dtype=np.int64)))
 
 
@@ -192,20 +194,23 @@ def gram_table(
 
     Documents are ``flat[offsets[d]:offsets[d+1]]``; windows advance one term
     and never cross document boundaries.  A window's code is its terms read
-    as base-``base`` digits.  Each window gets one int64 key, its code and doc
+    as base-``base`` digits.  Each window gets one key, its code and doc
     packed with shifts, and one sort of the keys yields the table: sorted by
     code, then doc (``code << doc_bits | doc``), or with ``doc_major`` by doc,
     then code (``doc << code_bits | code``), which is the order of CSR rows.
+    Keys are int32 when code and doc bits add up to at most 31, else int64.
     """
     n_docs = offsets.shape[0] - 1
     m = max(flat.shape[0] - (n - 1), 0)  # windows of the flat array, doc ends ignored
-    code = flat[:m].astype(np.int64)
+    code_bits, doc_bits = (base**n - 1).bit_length(), (n_docs - 1).bit_length()
+    dtype = _key_dtype(code_bits + doc_bits)
+    code = flat[:m].astype(dtype)
     for j in range(1, n):
         code *= base
         code += flat[j : j + m]
-    doc = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))[:m]
+    doc = np.repeat(np.arange(n_docs, dtype=dtype), np.diff(offsets))[:m]
     high, low = (doc, code) if doc_major else (code, doc)
-    low_bits = (base**n - 1 if doc_major else n_docs - 1).bit_length()
+    low_bits = code_bits if doc_major else doc_bits
     key = np.left_shift(high, low_bits, out=high)
     key |= low
     keep = np.ones(m, dtype=bool)
@@ -222,6 +227,11 @@ def gram_table(
     return doc.astype(np.int32), code.astype(np.int32), count.astype(np.int32)
 
 
+def _key_dtype(bits: int):
+    """The narrowest signed integer type that holds ``bits`` value bits."""
+    return np.int32 if bits <= 31 else np.int64
+
+
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """True where a sorted array holds a value it did not hold just before."""
     new = np.empty(a.shape[0], dtype=bool)
@@ -230,32 +240,48 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return new
 
 
-def _find(sorted_keys: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Index of each code in ``sorted_keys``, or -1 where it is absent."""
-    j = np.searchsorted(sorted_keys, code)
-    found = j < sorted_keys.shape[0]
-    found[found] = sorted_keys[j[found]] == code[found]
-    return np.where(found, j, -1)
+def _find(vocab: GramVocabulary, code: np.ndarray) -> np.ndarray:
+    """Rank of each 3-gram code in ``vocab``, or -1 where it was not selected."""
+    j = np.searchsorted(vocab.sorted3, code)
+    found = j < vocab.sorted3.shape[0]
+    found[found] = vocab.sorted3[j[found]] == code[found]
+    rank = np.full(code.shape[0], -1, dtype=np.int64)
+    rank[found] = vocab.pos3[j[found]]
+    return rank
 
 
 def _idf(df: np.ndarray, d_total: int) -> np.ndarray:
     return np.log((d_total + 1.0) / (df + 1.0)) + 1.0
 
 
-def _select3(code: np.ndarray, count: np.ndarray, pool: np.ndarray, slot: np.ndarray,
-             base: int, ngram3_cap: int):
-    """The top 3-gram codes of a training table by total count, and their df.
+def _select3(code: np.ndarray, count: np.ndarray, first: np.ndarray, base: int,
+             ngram3_cap: int):
+    """The top 3-gram codes of a code-major training table by total count,
+    their df, and the rank of each distinct code the table holds (-1 if not
+    selected).
 
-    All base^3 candidates compete when they fit under the cap (fixed block);
-    otherwise only the grams observed in training (``pool``, with ``slot``
-    the index of each table row's code in it) enter the ranking.  Ties keep
-    ascending code order.
+    The table's distinct codes are its runs, which start at ``first``: a run's
+    length is its code's df.  Only observed grams enter the ranking, by total
+    count with ties in ascending code order (one sort of unique keys); when all
+    base^3 candidates fit under the cap (fixed block), the never observed ones
+    follow in code order with df 0.
     """
-    if base ** 3 <= ngram3_cap:
-        pool, slot = np.arange(base ** 3), code
-    totals = np.bincount(slot, weights=count, minlength=pool.shape[0])
-    ranked = np.argsort(-totals, kind="stable")[:ngram3_cap]
-    return pool[ranked].astype(np.int64), np.bincount(slot, minlength=pool.shape[0])[ranked]
+    pool, df = code[first], np.diff(first, append=code.shape[0])
+    totals = np.add.reduceat(count, first, dtype=np.int64)
+    idx_bits = pool.shape[0].bit_length()
+    key = (totals.max(initial=0) - totals) << idx_bits
+    key |= np.arange(pool.shape[0])
+    key.sort()
+    ranked = key[:ngram3_cap] & ((1 << idx_bits) - 1)
+    rank = np.full(pool.shape[0], -1, dtype=np.int64)
+    rank[ranked] = np.arange(ranked.shape[0])
+    codes3, df3 = pool[ranked].astype(np.int64), df[ranked]
+    if base ** 3 <= ngram3_cap:  # the fixed block
+        unseen = np.ones(base ** 3, dtype=bool)
+        unseen[pool] = False
+        unseen = np.flatnonzero(unseen)
+        codes3, df3 = np.append(codes3, unseen), np.append(df3, np.zeros_like(unseen))
+    return codes3, df3, rank
 
 
 def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
@@ -266,35 +292,40 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
 
     Each count table is read both to fit and to transform, so only one is
     alive at a time.  The 1- and 2-gram tables are counted doc-major, so their
-    blocks come out in CSR order.  The 3-gram table is code-major, which keeps
-    the selection and the vocabulary lookup linear; its block alone is then
-    sorted from code to rank order within each row.
+    blocks come out in CSR order.  The 3-gram table is code-major, so its
+    distinct codes are its runs: a fit ranks them, a transform looks each one
+    up in the vocabulary, and each row takes its run's rank.  Its block alone
+    is then sorted from code to rank order within each row.
     """
     d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
-    idfs, blocks, norm_sq = [], [], np.zeros(d_total)
+    fit, idfs, blocks, norm_sq = vocab is None, [], [], np.zeros(d_total)
     for n in (1, 2, 3):
         doc, code, count = gram_table(flat, offsets, n, base, doc_major=n < 3)
-        if n == 3:  # the table's runs: its distinct codes, and each row's run
+        if n < 3:  # a table row per (doc, distinct gram): bincount over codes is df
+            idfs.append(_idf(np.bincount(code, minlength=base ** n), d_total) if fit
+                        else (vocab.idf1, vocab.idf2)[n - 1])
+        else:  # the table's runs: its distinct codes, and each row's run
             new = _run_starts(code)
-            pool, slot = code[new], np.cumsum(new) - 1
-        if vocab is not None:
-            idfs.append((vocab.idf1, vocab.idf2, vocab.idf3)[n - 1])
-        elif n < 3:  # a table row per (doc, distinct gram): bincount over codes is df
-            idfs.append(_idf(np.bincount(code, minlength=base ** n), d_total))
-        else:
-            codes3, df3 = _select3(code, count, pool, slot, base, ngram3_cap)
-            idfs.append(_idf(df3, d_total))
-            vocab = GramVocabulary(codes3, *idfs, d_total)
-        if n == 3:  # vocabulary grams only; a gram's slot is its rank position
-            j = _find(vocab.sorted3, pool)[slot]  # one lookup per distinct code
-            doc, count, code = doc[j >= 0], count[j >= 0], vocab.pos3[j[j >= 0]]
+            first, slot = np.flatnonzero(new), np.cumsum(new) - 1
+            if fit:
+                codes3, df3, rank = _select3(code, count, first, base, ngram3_cap)
+                vocab = GramVocabulary(codes3, *idfs, _idf(df3, d_total), d_total)
+            else:
+                rank = _find(vocab, code[first])
+            idfs.append(vocab.idf3)
+            pos = rank[slot]  # vocabulary grams only; a gram's column is its rank
+            keep = pos >= 0
+            doc, count, code = doc[keep], count[keep], pos[keep]
         tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
         value = count * (idfs[-1][code] * tf_scale)
         if normalize:  # each row's squares add up in (n, code) order, one at a time
             np.add.at(norm_sq, doc, value * value)
         if n == 3:  # code to rank order within each row
-            key = doc.astype(np.int64) << vocab.codes3.shape[0].bit_length()
-            order = np.argsort(key | code)
+            rank_bits = vocab.codes3.shape[0].bit_length()
+            key_type = _key_dtype((d_total - 1).bit_length() + rank_bits)
+            key = doc.astype(key_type) << rank_bits
+            key |= code
+            order = np.argsort(key)
             doc, code, value = doc[order], code[order], value[order]
         blocks.append((doc, (0, base, base + base * base)[n - 1] + code, value))
     if normalize:
@@ -311,7 +342,7 @@ def _hist_blocks(schema: FeatureSchema, docs: Sequence[Document]):
     hist = (doc, code, count / np.diff(offsets)[doc])
     if schema.is_char:  # the probes always read raw bytes
         flat, offsets = _terms(docs, None)
-    slot = _PROBE_SLOT[flat[:-1] * 256 + flat[1:]]
+    slot = _PROBE_SLOT[flat[:-1].astype(np.int64) * 256 + flat[1:]]  # uint8 * 256 overflows
     at = np.flatnonzero(slot >= 0)  # probe windows, some running past their doc's end
     doc = np.searchsorted(offsets, at, side="right") - 1
     inside = at + 1 < offsets[doc + 1]

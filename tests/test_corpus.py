@@ -115,6 +115,16 @@ def test_ingest_skips_malformed_lines(tmp_path, caplog):
     assert "4 malformed" in caplog.text
 
 
+def test_ingest_gives_a_null_id_its_line_number(tmp_path):
+    # two null ids must not become the same id "None"
+    path = tmp_path / "nullid.jsonl"
+    lines = [json.dumps({"id": None, "label": "a", "data_b64": "AAEC"}),
+             json.dumps({"id": "x", "label": "a", "data_b64": "AAEC"}),
+             json.dumps({"id": None, "label": "b", "data_b64": "/w=="})]
+    path.write_text("\n".join(lines) + "\n")
+    assert [d.id for d in corpus.ingest(path, "jsonl")] == ["1", "x", "3"]
+
+
 def test_ingest_skips_noncanonical_base64(tmp_path, caplog):
     # "QR==" decodes to b"A" only by ignoring nonzero padding bits
     path = tmp_path / "loose.jsonl"

@@ -87,8 +87,8 @@ def counter_table(docs, n, base, doc_major=False) -> list:
     return sorted(triples, key=lambda t: t[:2] if doc_major else (t[1], t[0]))
 
 
-def batch_table(docs, n, base, doc_major=False) -> list:
-    flat = np.array([t for terms in docs for t in terms], dtype=np.int64)
+def batch_table(docs, n, base, doc_major=False, dtype=np.int64) -> list:
+    flat = np.array([t for terms in docs for t in terms], dtype=dtype)
     offsets = np.concatenate(([0], np.cumsum([len(t) for t in docs]))).astype(np.int64)
     doc, code, count = gram_table(flat, offsets, n, base, doc_major)
     return list(zip(doc.tolist(), code.tolist(), count.tolist()))
@@ -118,3 +118,14 @@ def test_gram_table_keys_past_int32_equal_the_counter(doc_major):
     # all, so a key packed or shifted in int32 (the table's doc dtype) would wrap
     docs = np.random.default_rng(3).integers(0, 256, size=(2**16 + 1, 3)).tolist()
     assert batch_table(docs, 3, 256, doc_major) == counter_table(docs, 3, 256, doc_major)
+
+
+@pytest.mark.parametrize("doc_major", [False, True])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("n_docs", [2**15, 2**15 + 1])
+def test_gram_table_at_the_int32_key_edge_equals_the_counter(n_docs, dtype, doc_major):
+    # byte 2-grams take 16 code bits: 2**15 documents take 15 doc bits, so keys
+    # fill 31 bits and are int32; one more document makes 32 bits and int64 keys
+    docs = np.random.default_rng(5).integers(0, 256, size=(n_docs, 3)).tolist()
+    docs[-1] = [255, 255, 255]  # the largest code in the last document: the largest key
+    assert batch_table(docs, 2, 256, doc_major, dtype) == counter_table(docs, 2, 256, doc_major)

@@ -336,6 +336,35 @@ def test_ngram3_cap_parameter():
     assert schema.dimension == 256 + 65536 + 500
 
 
+@st.composite
+def code_major_tables(draw):
+    """(code, count, base) of a code-major 3-gram table with small, often tied counts."""
+    base = draw(st.sampled_from([2, 3, 5, 16]))
+    codes = draw(st.lists(st.integers(0, base**3 - 1), unique=True, max_size=40))
+    rows = [(c, d, draw(st.integers(1, 3)))
+            for c in sorted(codes) for d in sorted(draw(st.sets(st.integers(0, 5), min_size=1)))]
+    code = np.array([r[0] for r in rows], dtype=np.int32)
+    count = np.array([r[2] for r in rows], dtype=np.int32)
+    return code, count, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=code_major_tables(), cap=st.sampled_from([0, 1, 2, 7, 8, 27, 125, 5000]))
+def test_select3_equals_a_stable_argsort_of_the_totals(table, cap):
+    code, count, base = table
+    first = np.flatnonzero(vectorize._run_starts(code))
+    codes3, df3, rank = vectorize._select3(code, count, first, base, cap)
+    observed, slot = np.unique(code, return_inverse=True)
+    # every candidate when base^3 fits under the cap, else the observed codes
+    pool, at = (np.arange(base**3), code) if base**3 <= cap else (observed, slot)
+    totals = np.bincount(at, weights=count, minlength=pool.shape[0])
+    ranked = np.argsort(-totals, kind="stable")[:cap]
+    assert codes3.tolist() == pool[ranked].tolist()
+    assert df3.tolist() == np.bincount(at, minlength=pool.shape[0])[ranked].tolist()
+    where = {c: i for i, c in enumerate(codes3.tolist())}
+    assert rank.tolist() == [where.get(c, -1) for c in observed.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # idf values and properties
 # ---------------------------------------------------------------------------
