@@ -74,7 +74,8 @@ def encode_digits(kind: Encoding, payloads: Sequence[bytes]) -> tuple[np.ndarray
 
     Each payload's last group is zero-padded on its own and keeps its
     ceil(8L/bits) (RFC 4648) or L + ceil(L/4) (Base85) significant digits, so
-    payload i's digits spell ``strip_padding(kind, encode(kind, p))``.
+    payload i's digits spell ``encode(kind, p)`` without its trailing ``=``
+    padding (Base85 has none; ``=`` is one of its digits).
     """
     g, c = kind.group_in_bytes, kind.group_out_chars
     lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
@@ -134,11 +135,3 @@ def decode(kind: Encoding, text: str) -> bytes:
     if encode(kind, data) != (text.upper() if kind.name == "base16" else text):
         raise DecodeError(f"{kind.name}: not the canonical encoding of the bytes it decodes to")
     return data
-
-
-def strip_padding(kind: Encoding, text: str) -> str:
-    """Drop trailing ``=`` padding.  Base85 legitimately uses '=' as a digit,
-    so only the padded encodings are touched."""
-    if kind.uses_padding:
-        return text.rstrip("=")
-    return text

@@ -21,15 +21,18 @@ mode one vectorised ``codec.encode_digits`` call) and counted once:
 Terms are uint8, and ``gram_table`` gives the distinct (doc, code, count)
 triples for each n = 1, 2, 3 from one sort of shift-packed keys, int32 where
 code and doc fit in 31 bits and int64 otherwise, in the order its reader
-wants.  The 1- and 2-gram tables are doc-major, so their TF-IDF blocks
+wants; windows that run past their document's end sort last and are cut
+off.  The 1- and 2-gram tables are doc-major, so their TF-IDF blocks
 already lie in CSR order.  The 3-gram table is code-major, so its distinct
-codes are its runs: a fit ranks only those, with one sort, and a transform
-looks each of them up once in the vocabulary; its block alone is then sorted
-into rank order within each row.  ``_csr`` writes each block straight into the rows,
-with no sort of the whole batch.  One pass over n reads each table both to
-fit and to transform.  ``FeatureConfig.fit_transform`` fits a schema and
-returns the training rows from one such pass, and ``transform_rows`` applies
-a fitted schema to new documents; rows leave as CSR.
+codes are its runs: a fit ranks only those, partitioning to the cap and
+sorting what it keeps, and a transform looks each of them up once in the
+vocabulary; its block alone is then put into rank order within each row by
+one in-place sort of packed keys (``_row_order``).  ``_csr`` writes each
+block straight into the rows, with no sort of the whole batch.  One pass
+over n reads each table both to fit and to transform.
+``FeatureConfig.fit_transform`` fits a schema and returns the training rows
+from one such pass, and ``transform_rows`` applies a fitted schema to new
+documents; rows leave as CSR.
 """
 
 from __future__ import annotations
@@ -199,6 +202,9 @@ def gram_table(
     code, then doc (``code << doc_bits | doc``), or with ``doc_major`` by doc,
     then code (``doc << code_bits | code``), which is the order of CSR rows.
     Keys are int32 when code and doc bits add up to at most 31, else int64.
+    A window that runs past its document's end gets the key type's largest
+    value instead, so it sorts last and the sorted keys are cut before it; a
+    real key equal to that value is interchangeable with it.
     """
     n_docs = offsets.shape[0] - 1
     m = max(flat.shape[0] - (n - 1), 0)  # windows of the flat array, doc ends ignored
@@ -213,18 +219,23 @@ def gram_table(
     low_bits = code_bits if doc_major else doc_bits
     key = np.left_shift(high, low_bits, out=high)
     key |= low
-    keep = np.ones(m, dtype=bool)
+    past = 0
     for j in range(1, n):  # a window starting j terms before a doc's end runs past it
         start = offsets[1:] - j
-        keep[start[(start >= offsets[:-1]) & (start < m)]] = False
-    key = key[keep]
+        start = start[(start >= offsets[:-1]) & (start < m)]
+        key[start] = np.iinfo(dtype).max  # sorts last, to be cut off
+        past += start.shape[0]
     key.sort()
+    key = key[: m - past]
     first = np.flatnonzero(_run_starts(key))
     count = np.diff(first, append=key.shape[0])
-    high, low = key[first] >> low_bits, key[first] & ((1 << low_bits) - 1)
+    low = key[first]
+    high = low >> low_bits
+    low &= (1 << low_bits) - 1
     doc, code = (high, low) if doc_major else (low, high)
     # int32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
-    return doc.astype(np.int32), code.astype(np.int32), count.astype(np.int32)
+    return (doc.astype(np.int32, copy=False), code.astype(np.int32, copy=False),
+            count.astype(np.int32))
 
 
 def _key_dtype(bits: int):
@@ -262,17 +273,21 @@ def _select3(code: np.ndarray, count: np.ndarray, first: np.ndarray, base: int,
 
     The table's distinct codes are its runs, which start at ``first``: a run's
     length is its code's df.  Only observed grams enter the ranking, by total
-    count with ties in ascending code order (one sort of unique keys); when all
-    base^3 candidates fit under the cap (fixed block), the never observed ones
-    follow in code order with df 0.
+    count with ties in ascending code order: the keys are unique, so a
+    partition to the cap keeps the same grams, and only those are sorted.
+    When all base^3 candidates fit under the cap (fixed block), the never
+    observed ones follow in code order with df 0.
     """
     pool, df = code[first], np.diff(first, append=code.shape[0])
     totals = np.add.reduceat(count, first, dtype=np.int64)
     idx_bits = pool.shape[0].bit_length()
     key = (totals.max(initial=0) - totals) << idx_bits
     key |= np.arange(pool.shape[0])
+    if key.shape[0] > ngram3_cap:  # the keys are unique: the cap smallest, then their order
+        key.partition(ngram3_cap)
+        key = key[:ngram3_cap]
     key.sort()
-    ranked = key[:ngram3_cap] & ((1 << idx_bits) - 1)
+    ranked = key & ((1 << idx_bits) - 1)
     rank = np.full(pool.shape[0], -1, dtype=np.int64)
     rank[ranked] = np.arange(ranked.shape[0])
     codes3, df3 = pool[ranked].astype(np.int64), df[ranked]
@@ -295,7 +310,8 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
     blocks come out in CSR order.  The 3-gram table is code-major, so its
     distinct codes are its runs: a fit ranks them, a transform looks each one
     up in the vocabulary, and each row takes its run's rank.  Its block alone
-    is then sorted from code to rank order within each row.
+    is then put from code to rank order within each row (``_row_order``).
+    TF divides by each document's window count once, and each row gathers it.
     """
     d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
     fit, idfs, blocks, norm_sq = vocab is None, [], [], np.zeros(d_total)
@@ -316,16 +332,14 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
             pos = rank[slot]  # vocabulary grams only; a gram's column is its rank
             keep = pos >= 0
             doc, count, code = doc[keep], count[keep], pos[keep]
-        tf_scale = 1.0 / (lengths[doc] - (n - 1))  # windows of length n per doc
+        # windows of length n per doc; one shorter than n has no rows of this n
+        tf_scale = (1.0 / np.maximum(lengths - (n - 1), 1))[doc]
         value = count * (idfs[-1][code] * tf_scale)
         if normalize:  # each row's squares add up in (n, code) order, one at a time
             np.add.at(norm_sq, doc, value * value)
         if n == 3:  # code to rank order within each row
-            rank_bits = vocab.codes3.shape[0].bit_length()
-            key_type = _key_dtype((d_total - 1).bit_length() + rank_bits)
-            key = doc.astype(key_type) << rank_bits
-            key |= code
-            order = np.argsort(key)
+            order = _row_order(doc, code, (d_total - 1).bit_length(),
+                               vocab.codes3.shape[0].bit_length())
             doc, code, value = doc[order], code[order], value[order]
         blocks.append((doc, (0, base, base + base * base)[n - 1] + code, value))
     if normalize:
@@ -333,6 +347,22 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
         for doc, _, value in blocks:
             value /= norms[doc]  # only rows that hold an entry
     return vocab, blocks
+
+
+def _row_order(doc: np.ndarray, col: np.ndarray, doc_bits: int, col_bits: int) -> np.ndarray:
+    """The order that sorts unique (doc, col) entries by doc, then col: one in-place
+    sort of ``(doc << col_bits | col) << pos_bits | position`` int64 keys, masked
+    to their positions, or past 63 bits an argsort of the keys alone."""
+    pos_bits = doc.shape[0].bit_length()
+    key = doc.astype(np.int64)
+    key <<= col_bits
+    key |= col
+    if doc_bits + col_bits + pos_bits > 63:
+        return np.argsort(key)
+    key <<= pos_bits
+    key |= np.arange(doc.shape[0])
+    key.sort()
+    return np.bitwise_and(key, (1 << pos_bits) - 1, out=key)
 
 
 def _hist_blocks(schema: FeatureSchema, docs: Sequence[Document]):

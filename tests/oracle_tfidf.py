@@ -16,7 +16,13 @@ def seq_of(payload, mode, encoding=None):
         return list(payload)
     from isagram import codec
 
-    return list(codec.strip_padding(encoding, codec.encode(encoding, payload)))
+    return list(strip_padding(encoding, codec.encode(encoding, payload)))
+
+
+def strip_padding(encoding, text):
+    """Drop trailing ``=`` padding.  Base85 legitimately uses '=' as a digit,
+    so only the padded encodings are touched."""
+    return text.rstrip("=") if encoding.uses_padding else text
 
 
 def alphabet_of(mode, encoding=None):

@@ -427,3 +427,24 @@ def test_criterion_8_external_dataset_ordering(capsys):
         )
     detail = "; ".join(problems) if problems else "paper ordering reproduced on external data"
     report(capsys, 8, not problems, detail, t0)
+
+
+def test_paper_headline_claims_hold_on_short_generated_documents():
+    # criterion 8's claims, which it checks only where its external corpus is
+    # present: at 16 bytes a document the kinds score 0.16-1.00, not all 1.000
+    c = corpus.generate_synthetic(corpus.default_isa_specs(12), 318, 16, 7)
+    split_spec = SplitSpec(train_per_class=238, test_per_class=80, seed=7, repeats=2)
+    byte_cfg, hist_cfg = FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byte")
+    char_cfg = FeatureConfig("tfidf_char", codec.BASE16)
+    kinds = ("mnb", "cnb", "gnb", "knn")
+    reports = evaluate.run_comparison(
+        c, [byte_cfg, hist_cfg, char_cfg], [ClassifierSpec(kind) for kind in kinds], split_spec)
+    acc = {(r.feature_config, r.classifier_spec.kind): r.mean_accuracy for r in reports}
+    for kind in kinds:  # byte-level TF-IDF beats the histogram and endianness baseline
+        assert acc[byte_cfg, kind] > acc[hist_cfg, kind], kind
+    # base16 features are at least 16x fewer and keep cnb above 97 %
+    train0, _ = corpus.split(c, split_spec, 0)
+    dims = [cfg.fit_transform(train0)[0].dimension for cfg in (byte_cfg, char_cfg)]
+    assert dims[0] >= 16 * dims[1]
+    assert acc[char_cfg, "cnb"] >= 0.97
+    assert acc[byte_cfg, "cnb"] - acc[char_cfg, "cnb"] <= 0.02

@@ -426,8 +426,13 @@ def test_load_model_holds_the_file_about_once(tmp_path, cnb_tfidf_byte):
     save_model(cnb_tfidf_byte, path)
     size = path.stat().st_size
     loaded, peak = traced(lambda: load_model(path))
-    # 5.6x with copies of the bytes for rstrip, rpartition and b64decode; the decoded
-    # array alone is now 1.44x
-    assert peak <= 2.5 * size
+    # the peak above the arrays the model holds counts the copies made on the way,
+    # whatever the file's compression: 0.84x the file here (copies of the bytes for
+    # rstrip, rpartition and b64decode once took the whole peak to 5.6x).  The
+    # arrays are 1.58x this file, so its whole peak may reach 2.48x the file
+    vocab = loaded.schema.vocab
+    held = (*loaded.parameters.values(), vocab.codes3, vocab.idf1, vocab.idf2, vocab.idf3,
+            vocab.sorted3, vocab.pos3)
+    assert peak - sum(a.nbytes for a in held) <= 0.9 * size
     assert np.array_equal(loaded.parameters["feature_log_prob"],
                           cnb_tfidf_byte.parameters["feature_log_prob"])

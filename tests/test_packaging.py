@@ -49,6 +49,8 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     for name in ("_record_problem", "_report", "_ingest_directory"):
         assert not hasattr(isagram.corpus, name)
     assert not hasattr(isagram.codec, "_encode")
+    # only the TF-IDF oracle strips padding: the batch encoder never writes it
+    assert not hasattr(isagram.codec, "strip_padding")
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]

@@ -101,6 +101,18 @@ def test_rank_order_keys_past_int32_keep_each_row_apart():
     assert (rows.indices[lo:hi] >= 256 + 65536).sum() > 10  # the row holds 3-grams
 
 
+@pytest.mark.parametrize("col_bits", [13, 18, 19])
+def test_row_order_equals_a_lexsort_on_both_sides_of_63_bits(col_bits):
+    # 12 entries take 4 position bits beside 41 doc bits: the packed doc, col,
+    # position keys fill 58 and 63 bits, and at 64 the keys are argsorted; docs
+    # on both sides of 2**40 would wrap apart in a 64-bit packed key
+    rng = np.random.default_rng(col_bits)
+    doc = 2**40 - 2 + rng.integers(0, 4, size=12)
+    col = (1 << col_bits) - 1 - rng.choice(40, size=12, replace=False)
+    order = vectorize._row_order(doc, col, 41, col_bits)
+    assert order.tolist() == np.lexsort((col, doc)).tolist()
+
+
 ONE_COUNT_CONFIGS = [FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byte")] + [
     FeatureConfig(method, enc)
     for method in ("tfidf_char", "hist_endian_char")
