@@ -134,11 +134,15 @@ def _class_sums(X: CsrRows, y, n_classes, values):
 
 
 def _dot_t(X: CsrRows, W: np.ndarray) -> np.ndarray:
-    """X @ W.T, one bincount over the stored values per row of W."""
-    rows = X.row_ids()
+    """X @ W.T, one bincount per row of W over the stored values times that
+    row, gathered into one reused buffer: "wrap" never wraps a column in
+    [0, width), and unlike "raise" it makes ``take`` keep no buffer of its own."""
+    rows, buf = X.row_ids(), np.empty(X.data.shape[0])
     out = np.empty((X.shape[0], W.shape[0]))
     for c in range(W.shape[0]):
-        out[:, c] = np.bincount(rows, weights=X.data * W[c, X.indices], minlength=X.shape[0])
+        np.take(W[c], X.indices, out=buf, mode="wrap")
+        buf *= X.data
+        out[:, c] = np.bincount(rows, weights=buf, minlength=X.shape[0])
     return out
 
 

@@ -6,7 +6,8 @@ read as a big-endian 32-bit integer and written as five base-85 digits
 (character = digit + 33); a final partial group of n bytes is zero-padded
 and written as n+1 characters.  The stdlib ``a85encode`` folds zero groups
 to ``z``, so that variant is implemented by hand: ``encode_digits`` encodes
-a whole batch with numpy, and ``encode`` renders its Base85 digits.
+a whole batch in uint8 and uint32/uint64 arithmetic on whole groups, and
+``encode`` renders its Base85 digits.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ def _b85_decode(text: str) -> bytes:
 
 
 def encode_digits(kind: Encoding, payloads: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """Digits (alphabet indices) of every payload's unpadded encoding, and offsets.
+    """Digits (uint8 alphabet indices) of every payload's unpadded encoding, and offsets.
 
-    Each payload's last group is zero-padded on its own and keeps its
+    Each payload is zero-padded to whole groups on its own, and each group is
+    read as a big-endian uint32 (Base32's 5-byte groups as a uint64); its
+    digits come off with shifts and masks, or with ``% 85``.  A payload keeps
     ceil(8L/bits) (RFC 4648) or L + ceil(L/4) (Base85) significant digits, so
     payload i's digits spell ``encode(kind, p)`` without its trailing ``=``
     padding (Base85 has none; ``=`` is one of its digits).
@@ -80,23 +83,22 @@ def encode_digits(kind: Encoding, payloads: Sequence[bytes]) -> tuple[np.ndarray
     g, c = kind.group_in_bytes, kind.group_out_chars
     lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
     groups = -(-lengths // g)
-    first = np.cumsum(groups) - groups  # each payload's first group
-    padded = np.zeros((int(groups.sum()), g), dtype=np.int64)
-    padded.reshape(-1)[_runs(lengths, first * g)] = np.frombuffer(b"".join(payloads), np.uint8)
-    value = padded @ 256 ** np.arange(g - 1, -1, -1)  # groups as big-endian integers
-    place = np.arange(c - 1, -1, -1)
-    if kind.name == "base85":
-        digits, kept = value[:, None] // 85 ** place % 85, lengths + groups
-    else:
-        bits = len(kind.alphabet).bit_length() - 1
-        digits, kept = value[:, None] >> bits * place & (2 ** bits - 1), -(-8 * lengths // bits)
-    offsets = np.concatenate(([0], np.cumsum(kept)))
-    return digits.reshape(-1)[_runs(kept, first * c)], offsets
-
-
-def _runs(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """starts[i] + j for every j < counts[i], concatenated over i."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    padded = np.frombuffer(b"".join([p + bytes(-len(p) % g) for p in payloads]), np.uint8)
+    width = 1 if g == 1 else 4 if g <= 4 else 8  # bytes of the integer a group is read as
+    value = np.zeros((padded.shape[0] // g, width), dtype=np.uint8)
+    value[:, width - g:] = padded.reshape(-1, g)
+    value = value.view(f">u{width}")[:, 0].astype(f"u{width}")
+    base85, bits = kind.name == "base85", len(kind.alphabet).bit_length() - 1
+    kept = lengths + groups if base85 else -(-8 * lengths // bits)
+    digits = np.empty((value.shape[0], c), dtype=np.uint8)
+    for j in range(c - 1, -1, -1):  # the last digit first
+        digits[:, j] = value % 85 if base85 else value & (2**bits - 1)
+        value = value // 85 if base85 else value >> bits
+    # a payload's last group keeps its leading significant digits
+    keep = np.ones(digits.shape, dtype=bool)
+    nonempty = groups > 0
+    keep[np.cumsum(groups)[nonempty] - 1] = np.arange(c) < (kept - (groups - 1) * c)[nonempty, None]
+    return digits[keep], np.concatenate(([0], np.cumsum(kept)))
 
 
 def encode(kind: Encoding, payload: bytes) -> str:
@@ -108,7 +110,7 @@ def encode(kind: Encoding, payload: bytes) -> str:
     if kind.name == "base64":
         return base64.b64encode(payload).decode("ascii")
     digits, _ = encode_digits(kind, [payload])
-    return bytes((digits + 33).tolist()).decode("ascii")
+    return (digits + 33).tobytes().decode("ascii")
 
 
 def decode(kind: Encoding, text: str) -> bytes:

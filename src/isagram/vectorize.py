@@ -27,9 +27,11 @@ already lie in CSR order.  The 3-gram table is code-major, so its distinct
 codes are its runs: a fit ranks only those, partitioning to the cap and
 sorting what it keeps, and a transform looks each of them up once in the
 vocabulary; its block alone is then put into rank order within each row by
-one in-place sort of packed keys (``_row_order``).  ``_csr`` writes each
-block straight into the rows, with no sort of the whole batch.  One pass
-over n reads each table both to fit and to transform.
+one in-place sort of packed keys (``_row_order``).  Every block is doc-major
+and carries per-document entry counts, so TF scales, norms and row positions
+are ``np.repeat``s of per-document arrays, not gathers through the int32
+tables; ``_csr`` writes each block straight into the rows, with no sort of the
+whole batch.  One pass over n reads each table both to fit and to transform.
 ``FeatureConfig.fit_transform`` fits a schema and returns the training rows
 from one such pass, and ``transform_rows`` applies a fitted schema to new
 documents; rows leave as CSR.
@@ -185,7 +187,7 @@ def _terms(docs: Sequence[Document], encoding) -> tuple[np.ndarray, np.ndarray]:
         digits, offsets = codec.encode_digits(encoding, payloads)
         symbols = np.frombuffer(encoding.alphabet.encode("ascii"), dtype=np.uint8)
         rank = np.argsort(np.argsort(symbols)).astype(np.uint8)  # digit -> rank, < 85
-        return rank[digits], offsets
+        return rank.take(digits), offsets  # take: a uint8 fancy index is twice as slow
     flat = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     return flat, np.concatenate(([0], np.cumsum([len(p) for p in payloads], dtype=np.int64)))
 
@@ -225,17 +227,17 @@ def gram_table(
         start = start[(start >= offsets[:-1]) & (start < m)]
         key[start] = np.iinfo(dtype).max  # sorts last, to be cut off
         past += start.shape[0]
+    del doc, code, high, low  # free the window arrays: only the keys are sorted and read
     key.sort()
-    key = key[: m - past]
-    first = np.flatnonzero(_run_starts(key))
-    count = np.diff(first, append=key.shape[0])
-    low = key[first]
-    high = low >> low_bits
-    low &= (1 << low_bits) - 1
-    doc, code = (high, low) if doc_major else (low, high)
+    bounds = _run_bounds(key[: m - past])
+    head = key[bounds[:-1]]
+    del key
+    high = head >> low_bits
+    head &= (1 << low_bits) - 1
+    doc, code = (high, head) if doc_major else (head, high)
     # int32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
     return (doc.astype(np.int32, copy=False), code.astype(np.int32, copy=False),
-            count.astype(np.int32))
+            np.diff(bounds).astype(np.int32))
 
 
 def _key_dtype(bits: int):
@@ -243,12 +245,17 @@ def _key_dtype(bits: int):
     return np.int32 if bits <= 31 else np.int64
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """True where a sorted array holds a value it did not hold just before."""
-    new = np.empty(a.shape[0], dtype=bool)
-    new[:1] = True
-    np.not_equal(a[1:], a[:-1], out=new[1:])
-    return new
+def _run_bounds(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``a`` starts, then ``len(a)``."""
+    new = np.empty(a.shape[0] + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:-1])
+    return np.flatnonzero(new)
+
+
+def _row_counts(doc: np.ndarray, n_docs: int) -> np.ndarray:
+    """Rows per document of a doc-major table."""
+    return np.diff(np.searchsorted(doc, np.arange(n_docs + 1, dtype=doc.dtype)))
 
 
 def _find(vocab: GramVocabulary, code: np.ndarray) -> np.ndarray:
@@ -265,20 +272,21 @@ def _idf(df: np.ndarray, d_total: int) -> np.ndarray:
     return np.log((d_total + 1.0) / (df + 1.0)) + 1.0
 
 
-def _select3(code: np.ndarray, count: np.ndarray, first: np.ndarray, base: int,
+def _select3(code: np.ndarray, count: np.ndarray, bounds: np.ndarray, base: int,
              ngram3_cap: int):
     """The top 3-gram codes of a code-major training table by total count,
     their df, and the rank of each distinct code the table holds (-1 if not
     selected).
 
-    The table's distinct codes are its runs, which start at ``first``: a run's
+    The table's distinct codes are its runs, bounded by ``bounds``: a run's
     length is its code's df.  Only observed grams enter the ranking, by total
     count with ties in ascending code order: the keys are unique, so a
     partition to the cap keeps the same grams, and only those are sorted.
     When all base^3 candidates fit under the cap (fixed block), the never
     observed ones follow in code order with df 0.
     """
-    pool, df = code[first], np.diff(first, append=code.shape[0])
+    first = bounds[:-1]
+    pool, df = code[first], np.diff(bounds)
     totals = np.add.reduceat(count, first, dtype=np.int64)
     idx_bits = pool.shape[0].bit_length()
     key = (totals.max(initial=0) - totals) << idx_bits
@@ -302,50 +310,54 @@ def _select3(code: np.ndarray, count: np.ndarray, first: np.ndarray, base: int,
 def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
            ngram3_cap: int = NGRAM3_CAP, normalize: bool = True):
     """Fit a vocabulary on a batch's terms (when ``vocab`` is None) and its
-    TF x IDF blocks, one (row, col, value) block per n, in one pass over n;
+    TF x IDF blocks, one (rows, col, value) block per n, in one pass over n;
     rows are scaled to unit norm if ``normalize``.
 
     Each count table is read both to fit and to transform, so only one is
     alive at a time.  The 1- and 2-gram tables are counted doc-major, so their
     blocks come out in CSR order.  The 3-gram table is code-major, so its
     distinct codes are its runs: a fit ranks them, a transform looks each one
-    up in the vocabulary, and each row takes its run's rank.  Its block alone
-    is then put from code to rank order within each row (``_row_order``).
-    TF divides by each document's window count once, and each row gathers it.
+    up, and each entry takes its run's rank as its column.  Its block alone is
+    then put from code to rank order within each row (``_row_order``).  A
+    block carries each document's entry count (``rows``), not a doc per entry,
+    so TF and the norm reach entries by ``np.repeat`` of per-document arrays.
     """
     d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
     fit, idfs, blocks, norm_sq = vocab is None, [], [], np.zeros(d_total)
     for n in (1, 2, 3):
         doc, code, count = gram_table(flat, offsets, n, base, doc_major=n < 3)
+        # windows of length n per doc; one shorter than n has no rows of this n
+        tf_scale = 1.0 / np.maximum(lengths - (n - 1), 1)
         if n < 3:  # a table row per (doc, distinct gram): bincount over codes is df
-            idfs.append(_idf(np.bincount(code, minlength=base ** n), d_total) if fit
+            col, rows = code.astype(np.intp), _row_counts(doc, d_total)
+            idfs.append(_idf(np.bincount(col, minlength=base ** n), d_total) if fit
                         else (vocab.idf1, vocab.idf2)[n - 1])
+            tf_scale = np.repeat(tf_scale, rows)
         else:  # the table's runs: its distinct codes, and each row's run
-            new = _run_starts(code)
-            first, slot = np.flatnonzero(new), np.cumsum(new) - 1
+            bounds = _run_bounds(code)
             if fit:
-                codes3, df3, rank = _select3(code, count, first, base, ngram3_cap)
+                codes3, df3, rank = _select3(code, count, bounds, base, ngram3_cap)
                 vocab = GramVocabulary(codes3, *idfs, _idf(df3, d_total), d_total)
             else:
-                rank = _find(vocab, code[first])
+                rank = _find(vocab, code[bounds[:-1]])
             idfs.append(vocab.idf3)
-            pos = rank[slot]  # vocabulary grams only; a gram's column is its rank
-            keep = pos >= 0
-            doc, count, code = doc[keep], count[keep], pos[keep]
-        # windows of length n per doc; one shorter than n has no rows of this n
-        tf_scale = (1.0 / np.maximum(lengths - (n - 1), 1))[doc]
-        value = count * (idfs[-1][code] * tf_scale)
+            col = np.repeat(rank, np.diff(bounds))  # a vocabulary gram's column is its rank
+            keep = col >= 0
+            doc, count, col = doc[keep].astype(np.intp), count[keep], col[keep]
+            tf_scale = tf_scale[doc]
+        value = count * (idfs[-1][col] * tf_scale)
         if normalize:  # each row's squares add up in (n, code) order, one at a time
             np.add.at(norm_sq, doc, value * value)
         if n == 3:  # code to rank order within each row
-            order = _row_order(doc, code, (d_total - 1).bit_length(),
+            order = _row_order(doc, col, (d_total - 1).bit_length(),
                                vocab.codes3.shape[0].bit_length())
-            doc, code, value = doc[order], code[order], value[order]
-        blocks.append((doc, (0, base, base + base * base)[n - 1] + code, value))
+            col, value, rows = col[order], value[order], np.bincount(doc, minlength=d_total)
+        col += (0, base, base + base * base)[n - 1]
+        blocks.append((rows, col, value))
     if normalize:
         norms = np.sqrt(norm_sq)
-        for doc, _, value in blocks:
-            value /= norms[doc]  # only rows that hold an entry
+        for rows, _, value in blocks:
+            value /= np.repeat(norms, rows)
     return vocab, blocks
 
 
@@ -366,10 +378,11 @@ def _row_order(doc: np.ndarray, col: np.ndarray, doc_bits: int, col_bits: int) -
 
 
 def _hist_blocks(schema: FeatureSchema, docs: Sequence[Document]):
-    """(row, col, value) blocks of symbol frequencies and endianness probe rates."""
+    """Doc-major (rows, col, value) blocks of symbol frequencies and endianness probe rates."""
     flat, offsets = _terms(docs, schema.encoding)
     doc, code, count = gram_table(flat, offsets, 1, schema.base, doc_major=True)
-    hist = (doc, code, count / np.diff(offsets)[doc])
+    rows = _row_counts(doc, len(docs))
+    hist = (rows, code.astype(np.intp), count / np.repeat(np.diff(offsets), rows))
     if schema.is_char:  # the probes always read raw bytes
         flat, offsets = _terms(docs, None)
     slot = _PROBE_SLOT[flat[:-1].astype(np.int64) * 256 + flat[1:]]  # uint8 * 256 overflows
@@ -377,33 +390,33 @@ def _hist_blocks(schema: FeatureSchema, docs: Sequence[Document]):
     doc = np.searchsorted(offsets, at, side="right") - 1
     inside = at + 1 < offsets[doc + 1]
     k = len(ENDIAN_PATTERNS)
-    hits = np.bincount(doc[inside] * k + slot[at[inside]], minlength=len(docs) * k).reshape(-1, k)
-    doc, slot = np.nonzero(hits)  # row-major
-    rate = hits[doc, slot] * (1.0 / np.diff(offsets)[doc])
-    return [hist, (doc, schema.base + slot, rate)]
+    hits = np.bincount(doc[inside] * k + slot[at[inside]], minlength=len(docs) * k)
+    cell = np.flatnonzero(hits)  # row-major
+    rows = np.count_nonzero(hits.reshape(-1, k), axis=1)
+    rate = hits[cell] * np.repeat(1.0 / np.diff(offsets), rows)
+    return [hist, (rows, schema.base + cell % k, rate)]
 
 
 def _csr(n_docs: int, width: int, blocks) -> CsrRows:
-    """CSR rows (n_docs, width) from (row, col, value) blocks.
+    """CSR rows (n_docs, width) from (rows, col, value) blocks, ``rows`` being
+    each document's entry count.
 
     Each block is sorted by row, then column, and every column of a block lies
     below those of the next, so a row is its blocks' runs laid end to end:
     each value is written straight to its place, with no sort.  Each block is
     taken off the list once written, so its memory is free for the next.
     """
-    counts = [np.bincount(doc, minlength=n_docs) for doc, _, _ in blocks]
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(sum(counts), out=indptr[1:])
+    np.cumsum(sum(rows for rows, _, _ in blocks), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1], dtype=np.float64)
     filled = indptr[:-1].copy()  # where each row's next block starts
-    for count in counts:
-        doc, col, value = blocks.pop(0)
-        shift = filled - (np.cumsum(count) - count)  # block position -> row position
-        at = shift[doc]
-        at += np.arange(doc.shape[0])
+    while blocks:
+        rows, col, value = blocks.pop(0)
+        at = np.repeat(filled - (np.cumsum(rows) - rows), rows)  # block position -> row position
+        at += np.arange(at.shape[0])
         indices[at], data[at] = col, value
-        filled += count
+        filled += rows
     return CsrRows(indptr, indices, data, (n_docs, width))
 
 

@@ -423,6 +423,58 @@ def test_knn_multiplies_only_common_columns_densely(monkeypatch, oracle_cases, l
 
 
 # ---------------------------------------------------------------------------
+# the scoring product X @ W.T
+# ---------------------------------------------------------------------------
+
+# negatives, zeros of both signs and subnormals; bounded, so no product overflows
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+                    st.floats(-1e100, 1e100))
+
+
+@st.composite
+def csr_and_weights(draw):
+    """CSR rows (empty rows, rows of one value, stored zeros) and a class x column W."""
+    width, classes = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    cells = [draw(st.dictionaries(st.integers(0, width - 1), WEIGHTS, max_size=width))
+             for _ in range(draw(st.integers(0, 8)))]
+    indptr = np.cumsum([0] + [len(r) for r in cells], dtype=np.int64)
+    indices = np.array([j for r in cells for j in sorted(r)], dtype=np.int64)
+    data = np.array([r[j] for r in cells for j in sorted(r)], dtype=np.float64)
+    W = np.array(draw(st.lists(WEIGHTS, min_size=classes * width, max_size=classes * width)))
+    return CsrRows(indptr, indices, data, (len(cells), width)), W.reshape(classes, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_and_weights())
+def test_dot_t_is_bit_identical_to_a_bincount_per_class(case):
+    X, W = case
+    out = classify._dot_t(X, W)
+    rows = X.row_ids()
+    for c in range(W.shape[0]):
+        want = np.bincount(rows, X.data * W[c, X.indices], minlength=X.shape[0])
+        assert np.array_equal(out[:, c].view(np.uint64), want.view(np.uint64))
+
+
+def test_dot_t_holds_one_product_buffer():
+    rng = np.random.default_rng(3)
+    m, width, nnz = 500, 4000, 200_000
+    indptr = np.linspace(0, nnz, m + 1).astype(np.int64)
+    indices = np.concatenate([np.sort(rng.choice(width, b - a, replace=False))
+                              for a, b in zip(indptr[:-1], indptr[1:])])
+    X = CsrRows(indptr, indices, rng.random(nnz), (m, width))
+    W = rng.standard_normal((12, width))
+    tracemalloc.start()
+    try:
+        out = classify._dot_t(X, W)
+        peak = tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    # the row ids, one product buffer and slack; a gather of all 12 classes at once
+    # holds 13 such arrays, and take's "raise" mode adds a hidden buffer of its own
+    assert peak < 3 * nnz * 8
+
+
+# ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 

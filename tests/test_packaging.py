@@ -51,6 +51,8 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     assert not hasattr(isagram.codec, "_encode")
     # only the TF-IDF oracle strips padding: the batch encoder never writes it
     assert not hasattr(isagram.codec, "strip_padding")
+    # the batch encoder reads whole groups and masks off padding digits, with no index array
+    assert not hasattr(isagram.codec, "_runs")
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]

@@ -364,8 +364,8 @@ def code_major_tables(draw):
 @given(table=code_major_tables(), cap=st.sampled_from([0, 1, 2, 7, 8, 27, 125, 5000]))
 def test_select3_equals_a_stable_argsort_of_the_totals(table, cap):
     code, count, base = table
-    first = np.flatnonzero(vectorize._run_starts(code))
-    codes3, df3, rank = vectorize._select3(code, count, first, base, cap)
+    bounds = vectorize._run_bounds(code)
+    codes3, df3, rank = vectorize._select3(code, count, bounds, base, cap)
     observed, slot = np.unique(code, return_inverse=True)
     # every candidate when base^3 fits under the cap, else the observed codes
     pool, at = (np.arange(base**3), code) if base**3 <= cap else (observed, slot)
