@@ -133,16 +133,40 @@ def _class_sums(X: CsrRows, y, n_classes, values):
     return np.bincount(cells, weights=values, minlength=n_classes * dim).reshape(n_classes, dim)
 
 
+_DOT_BLOCK_VALUES = 1 << 15  # stored values that ``_dot_t`` scores at once
+
+
+def _row_blocks(cumulative: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Blocks [lo, hi) of whole rows holding at most ``budget`` items, or one row
+    holding more; ``cumulative`` counts the items before each row, then all."""
+    blocks, m = [(0, 0)], cumulative.shape[0] - 1
+    while (lo := blocks[-1][1]) < m:
+        hi = int(np.searchsorted(cumulative, cumulative[lo] + budget, side="right")) - 1
+        blocks.append((lo, min(max(hi, lo + 1), m)))
+    return blocks[1:]
+
+
 def _dot_t(X: CsrRows, W: np.ndarray) -> np.ndarray:
-    """X @ W.T, one bincount per row of W over the stored values times that
-    row, gathered into one reused buffer: "wrap" never wraps a column in
-    [0, width), and unlike "raise" it makes ``take`` keep no buffer of its own."""
-    rows, buf = X.row_ids(), np.empty(X.data.shape[0])
-    out = np.empty((X.shape[0], W.shape[0]))
-    for c in range(W.shape[0]):
-        np.take(W[c], X.indices, out=buf, mode="wrap")
-        buf *= X.data
-        out[:, c] = np.bincount(rows, weights=buf, minlength=X.shape[0])
+    """X @ W.T, one bincount per row of W over the stored values times that row,
+    in blocks of whole rows read position-major (a radix argsort of positions in
+    the row): consecutive adds go to different rows, and each row still adds its
+    products in stored order from 0.0.  One scratch set serves all blocks; "wrap"
+    never wraps an index in range, and unlike "raise" keeps no buffer of its own."""
+    ptr, out = X.indptr, np.empty((X.shape[0], W.shape[0]))
+    longest = np.diff(ptr).max(initial=0)
+    size = max(min(ptr[-1], _DOT_BLOCK_VALUES), longest)  # the largest block's values
+    cols, vals, rows, buf = (np.empty(size, dtype=t) for t in (np.intp, float, np.intp, float))
+    pos_type = np.min_scalar_type(longest - 1)  # uint8 sorts in one pass
+    for lo, hi in _row_blocks(ptr, _DOT_BLOCK_VALUES):
+        a, k = ptr[lo], ptr[hi] - ptr[lo]
+        row = np.repeat(np.arange(hi - lo), np.diff(ptr[lo : hi + 1]))
+        order = np.argsort((np.arange(a, a + k) - ptr[lo:hi][row]).astype(pos_type), kind="stable")
+        for src, dst in ((X.indices[a:], cols), (X.data[a:], vals), (row, rows)):
+            np.take(src, order, out=dst[:k], mode="wrap")
+        for c in range(W.shape[0]):
+            np.take(W[c], cols[:k], out=buf[:k], mode="wrap")
+            buf[:k] *= vals[:k]
+            out[lo:hi, c] = np.bincount(rows[:k], weights=buf[:k], minlength=hi - lo)
     return out
 
 
@@ -319,6 +343,8 @@ def predict_matrix(model: TrainedModel, X: CsrRows) -> tuple[list[str], np.ndarr
     width = next(model.parameters[n].shape[a.index("D")] for n, a in row.axes.items() if "D" in a)
     if X.shape[1] != width:
         raise ValueError(f"feature rows have {X.shape[1]} columns, the model takes {width}")
+    if X.indices.size and not 0 <= X.indices.min() <= X.indices.max() < width:
+        raise ValueError(f"feature rows store a column outside [0, {width})")
     scores = row.score(model, X)
     winners = [model.labels[i] for i in np.argmax(scores, axis=1)]
     return winners, scores
@@ -397,10 +423,7 @@ def _squared_distances(X: CsrRows, T: CsrRows) -> np.ndarray:
     meets = np.where(x_at < 0, t_count[X.indices], 0)
     before_row = np.concatenate(([0], np.cumsum(meets)))[X.indptr]
     x_rows = X.row_ids()
-    lo = 0
-    while lo < m:  # blocks of whole query rows, at least one
-        hi = int(np.searchsorted(before_row, before_row[lo] + _KNN_BLOCK_PAIRS, side="right")) - 1
-        hi = min(max(hi, lo + 1), m)
+    for lo, hi in _row_blocks(before_row, _KNN_BLOCK_PAIRS):
         a, b = X.indptr[lo], X.indptr[hi]
         k = meets[a:b]
         src = np.repeat(np.arange(a, b), k)
@@ -408,7 +431,6 @@ def _squared_distances(X: CsrRows, T: CsrRows) -> np.ndarray:
         cells = (x_rows[src] - lo) * n + t_rows[pos]
         products = X.data[src] * t_vals[pos]
         dots[lo:hi] += np.bincount(cells, products, minlength=(hi - lo) * n).reshape(hi - lo, n)
-        lo = hi
     return xx[:, None] - 2.0 * dots + tt[None, :]
 
 

@@ -83,7 +83,8 @@ def encode_digits(kind: Encoding, payloads: Sequence[bytes]) -> tuple[np.ndarray
     g, c = kind.group_in_bytes, kind.group_out_chars
     lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
     groups = -(-lengths // g)
-    padded = np.frombuffer(b"".join([p + bytes(-len(p) % g) for p in payloads]), np.uint8)
+    padded = np.frombuffer(b"".join(payloads if g == 1 else  # one-byte groups need no padding
+                                    [p + bytes(-len(p) % g) for p in payloads]), np.uint8)
     width = 1 if g == 1 else 4 if g <= 4 else 8  # bytes of the integer a group is read as
     value = np.zeros((padded.shape[0] // g, width), dtype=np.uint8)
     value[:, width - g:] = padded.reshape(-1, g)

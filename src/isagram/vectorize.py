@@ -19,15 +19,15 @@ character's rank in the sorted alphabet, and a vocabulary holds only what
 was fitted on top of that.  Each batch is encoded once (``_terms``; in char
 mode one vectorised ``codec.encode_digits`` call) and counted once:
 Terms are uint8, and ``gram_table`` gives the distinct (doc, code, count)
-triples for each n = 1, 2, 3 from one sort of shift-packed keys, int32 where
-code and doc fit in 31 bits and int64 otherwise, in the order its reader
-wants; windows that run past their document's end sort last and are cut
-off.  The 1- and 2-gram tables are doc-major, so their TF-IDF blocks
-already lie in CSR order.  The 3-gram table is code-major, so its distinct
-codes are its runs: a fit ranks only those, partitioning to the cap and
-sorting what it keeps, and a transform looks each of them up once in the
-vocabulary; its block alone is then put into rank order within each row by
-one in-place sort of packed keys (``_row_order``).  Every block is doc-major
+triples for each n = 1, 2, 3 from one sort of shift-packed keys (int32 up
+to 31 bits, uint32 at 32, else int64), in the order its reader wants;
+windows that run past their document's end sort last and are cut off.  The
+1- and 2-gram tables are doc-major, so their TF-IDF blocks already lie in
+CSR order.  The 3-gram table is code-major, so its distinct codes are its
+runs: a fit ranks only those, partitioning to the cap and sorting what it
+keeps, and a transform looks each of them up once in the vocabulary; its
+entries alone are then put into rank order within each row by one in-place
+sort of packed (doc, col, count) keys (``_row_order``).  Every block is doc-major
 and carries per-document entry counts, so TF scales, norms and row positions
 are ``np.repeat``s of per-document arrays, not gathers through the int32
 tables; ``_csr`` writes each block straight into the rows, with no sort of the
@@ -215,7 +215,7 @@ def gram_table(
     code = flat[:m].astype(dtype)
     for j in range(1, n):
         code *= base
-        code += flat[j : j + m]
+        np.add(code, flat[j : j + m], out=code, casting="unsafe")  # terms < base fit any key type
     doc = np.repeat(np.arange(n_docs, dtype=dtype), np.diff(offsets))[:m]
     high, low = (doc, code) if doc_major else (code, doc)
     low_bits = code_bits if doc_major else doc_bits
@@ -241,8 +241,8 @@ def gram_table(
 
 
 def _key_dtype(bits: int):
-    """The narrowest signed integer type that holds ``bits`` value bits."""
-    return np.int32 if bits <= 31 else np.int64
+    """The type of packed keys of ``bits`` value bits: int32, uint32 at exactly 32, else int64."""
+    return np.int32 if bits <= 31 else np.uint32 if bits == 32 else np.int64
 
 
 def _run_bounds(a: np.ndarray) -> np.ndarray:
@@ -313,15 +313,13 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
     TF x IDF blocks, one (rows, col, value) block per n, in one pass over n;
     rows are scaled to unit norm if ``normalize``.
 
-    Each count table is read both to fit and to transform, so only one is
-    alive at a time.  The 1- and 2-gram tables are counted doc-major, so their
-    blocks come out in CSR order.  The 3-gram table is code-major, so its
-    distinct codes are its runs: a fit ranks them, a transform looks each one
-    up, and each entry takes its run's rank as its column.  Its block alone is
-    then put from code to rank order within each row (``_row_order``).  A
-    block carries each document's entry count (``rows``), not a doc per entry,
-    so TF and the norm reach entries by ``np.repeat`` of per-document arrays.
-    """
+    Only one count table is alive at a time.  The 1- and 2-gram tables are
+    doc-major, so their blocks come out in CSR order.  The 3-gram table is
+    code-major: a fit ranks its runs (its distinct codes), a transform looks
+    each one up, and each entry takes its run's rank as its column.  Its norms
+    add in code order; then ``_row_order`` puts its entries in rank order in
+    each row, where the same product gives their values the same bits.  Blocks
+    carry per-document entry counts (``rows``): TF and norms are ``np.repeat``s."""
     d_total, lengths = offsets.shape[0] - 1, np.diff(offsets)
     fit, idfs, blocks, norm_sq = vocab is None, [], [], np.zeros(d_total)
     for n in (1, 2, 3):
@@ -344,14 +342,12 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
             col = np.repeat(rank, np.diff(bounds))  # a vocabulary gram's column is its rank
             keep = col >= 0
             doc, count, col = doc[keep].astype(np.intp), count[keep], col[keep]
-            tf_scale = tf_scale[doc]
-        value = count * (idfs[-1][col] * tf_scale)
+        value = count * (idfs[-1][col] * (tf_scale if n < 3 else tf_scale[doc]))
         if normalize:  # each row's squares add up in (n, code) order, one at a time
             np.add.at(norm_sq, doc, value * value)
-        if n == 3:  # code to rank order within each row
-            order = _row_order(doc, col, (d_total - 1).bit_length(),
-                               vocab.codes3.shape[0].bit_length())
-            col, value, rows = col[order], value[order], np.bincount(doc, minlength=d_total)
+        if n == 3:  # code to rank order within each row; the same product keeps its bits
+            doc, col, count = _row_order(doc, col, count)
+            value, rows = count * (idfs[-1][col] * tf_scale[doc]), _row_counts(doc, d_total)
         col += (0, base, base + base * base)[n - 1]
         blocks.append((rows, col, value))
     if normalize:
@@ -361,20 +357,21 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
     return vocab, blocks
 
 
-def _row_order(doc: np.ndarray, col: np.ndarray, doc_bits: int, col_bits: int) -> np.ndarray:
-    """The order that sorts unique (doc, col) entries by doc, then col: one in-place
-    sort of ``(doc << col_bits | col) << pos_bits | position`` int64 keys, masked
-    to their positions, or past 63 bits an argsort of the keys alone."""
-    pos_bits = doc.shape[0].bit_length()
-    key = doc.astype(np.int64)
-    key <<= col_bits
-    key |= col
-    if doc_bits + col_bits + pos_bits > 63:
-        return np.argsort(key)
-    key <<= pos_bits
-    key |= np.arange(doc.shape[0])
+def _row_order(doc: np.ndarray, col: np.ndarray, count: np.ndarray):
+    """(doc, col, count) of unique (doc, col) entries sorted by doc, then col: one
+    in-place sort of ``doc << (col_bits + cnt_bits) | col << cnt_bits | count``
+    keys of ``_key_dtype`` (past 63 bits a lexsort).  Docs and cols leave as intp."""
+    doc_bits, col_bits, cnt_bits = (int(a.max(initial=0)).bit_length() for a in (doc, col, count))
+    if doc_bits + col_bits + cnt_bits > 63:
+        order = np.lexsort((col, doc))
+        return doc[order], col[order], count[order]
+    key = doc.astype(_key_dtype(doc_bits + col_bits + cnt_bits))
+    for part, bits in ((col, col_bits), (count, cnt_bits)):
+        key <<= bits
+        np.bitwise_or(key, part, out=key, casting="unsafe")  # each part fits its bits
     key.sort()
-    return np.bitwise_and(key, (1 << pos_bits) - 1, out=key)
+    col = (key >> cnt_bits & ((1 << col_bits) - 1)).astype(np.intp)
+    return (key >> (col_bits + cnt_bits)).astype(np.intp), col, key & ((1 << cnt_bits) - 1)
 
 
 def _hist_blocks(schema: FeatureSchema, docs: Sequence[Document]):

@@ -314,6 +314,18 @@ def test_predict_rejects_rows_of_another_width(kind):
             predict_matrix(model, CsrRows.from_dense(np.ones((1, width))))
 
 
+@pytest.mark.parametrize("kind", classify.KINDS)
+def test_predict_rejects_a_stored_column_outside_the_width(kind):
+    # hand-built rows: transform_rows and load_model never give such a column,
+    # and a gather in "wrap" mode would score a wrapped column instead of raising
+    X, labels = cloud_3class(n_per_class=5)
+    model = fit_vectors(ClassifierSpec(kind), X, labels)
+    for column in (3, 7, -1):
+        rows = CsrRows(np.array([0, 1, 2]), np.array([0, column]), np.ones(2), (2, 3))
+        with pytest.raises(ValueError, match="outside"):
+            predict_matrix(model, rows)
+
+
 def test_fit_rejects_unlabeled_corpus():
     docs = Corpus([Document(b"\x01\x02", "a", "1"), Document(b"\x03\x04", None, "2")])
     with pytest.raises(ValueError):
@@ -431,28 +443,73 @@ WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
                     st.floats(-1e100, 1e100))
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def csr_rows(cells: list[dict], width: int) -> CsrRows:
+    """CSR rows from one {column: value} dict per row."""
+    indptr = np.cumsum([0] + [len(r) for r in cells], dtype=np.int64)
+    indices = np.array([j for r in cells for j in sorted(r)], dtype=np.int64)
+    data = np.array([r[j] for r in cells for j in sorted(r)], dtype=np.float64)
+    return CsrRows(indptr, indices, data, (len(cells), width))
+
+
 @st.composite
 def csr_and_weights(draw):
     """CSR rows (empty rows, rows of one value, stored zeros) and a class x column W."""
     width, classes = draw(st.integers(1, 9)), draw(st.integers(1, 4))
     cells = [draw(st.dictionaries(st.integers(0, width - 1), WEIGHTS, max_size=width))
              for _ in range(draw(st.integers(0, 8)))]
-    indptr = np.cumsum([0] + [len(r) for r in cells], dtype=np.int64)
-    indices = np.array([j for r in cells for j in sorted(r)], dtype=np.int64)
-    data = np.array([r[j] for r in cells for j in sorted(r)], dtype=np.float64)
     W = np.array(draw(st.lists(WEIGHTS, min_size=classes * width, max_size=classes * width)))
-    return CsrRows(indptr, indices, data, (len(cells), width)), W.reshape(classes, width)
+    return csr_rows(cells, width), W.reshape(classes, width)
+
+
+# blocks of 1, 2 and 3 values cut rows apart from their neighbours and hold
+# rows longer than a block alone; the default holds every drawn case whole
+BLOCK_VALUES = st.sampled_from([1, 2, 3, classify._DOT_BLOCK_VALUES])
 
 
 @settings(max_examples=300, deadline=None)
-@given(csr_and_weights())
-def test_dot_t_is_bit_identical_to_a_bincount_per_class(case):
+@given(csr_and_weights(), BLOCK_VALUES)
+def test_dot_t_is_bit_identical_to_a_bincount_per_class(case, block):
     X, W = case
-    out = classify._dot_t(X, W)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_DOT_BLOCK_VALUES", block)
+        out = classify._dot_t(X, W)
     rows = X.row_ids()
     for c in range(W.shape[0]):
         want = np.bincount(rows, X.data * W[c, X.indices], minlength=X.shape[0])
-        assert np.array_equal(out[:, c].view(np.uint64), want.view(np.uint64))
+        assert same_bits(out[:, c], want)
+
+
+@pytest.fixture(scope="module")
+def scoring_models():
+    """Every kind whose scores are row by row, fitted on random rows of width 7."""
+    rng = np.random.default_rng(11)
+    X = CsrRows.from_dense(rng.random((30, 7)) * (rng.random((30, 7)) < 0.6))
+    labels = [f"c{i % 3}" for i in range(30)]
+    # knn's distances can take a dense product whose choice depends on the batch
+    return {kind: fit_vectors(ClassifierSpec(kind), X, labels)
+            for kind in classify.KINDS if kind != "knn"}
+
+
+FEATURE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.dictionaries(st.integers(0, 6), FEATURE_VALUES), min_size=1, max_size=8),
+       block=BLOCK_VALUES, data=st.data())
+def test_a_score_row_is_the_same_alone_in_its_batch_and_shuffled(scoring_models, cells, block, data):
+    order = data.draw(st.permutations(range(len(cells))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_DOT_BLOCK_VALUES", block)
+        for kind, model in scoring_models.items():
+            scores = predict_matrix(model, csr_rows(cells, 7))[1]
+            shuffled = predict_matrix(model, csr_rows([cells[i] for i in order], 7))[1]
+            assert same_bits(shuffled, scores[order]), kind
+            for i, row in enumerate(cells):
+                assert same_bits(predict_matrix(model, csr_rows([row], 7))[1][0], scores[i]), kind
 
 
 def test_dot_t_holds_one_product_buffer():

@@ -122,10 +122,12 @@ def test_gram_table_keys_past_int32_equal_the_counter(doc_major):
 
 @pytest.mark.parametrize("doc_major", [False, True])
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
-@pytest.mark.parametrize("n_docs", [2**15, 2**15 + 1])
+@pytest.mark.parametrize("n_docs", [2**15, 2**15 + 1, 2**16])
 def test_gram_table_at_the_int32_key_edge_equals_the_counter(n_docs, dtype, doc_major):
     # byte 2-grams take 16 code bits: 2**15 documents take 15 doc bits, so keys
-    # fill 31 bits and are int32; one more document makes 32 bits and int64 keys
+    # fill 31 bits and are int32; one more document makes 32 bits and uint32
+    # keys, whose top bit an int32 would read as a sign; at 2**16 documents the
+    # largest real key is all ones, the value that cuts off a boundary window
     docs = np.random.default_rng(5).integers(0, 256, size=(n_docs, 3)).tolist()
     docs[-1] = [255, 255, 255]  # the largest code in the last document: the largest key
     assert batch_table(docs, 2, 256, doc_major, dtype) == counter_table(docs, 2, 256, doc_major)

@@ -101,16 +101,34 @@ def test_rank_order_keys_past_int32_keep_each_row_apart():
     assert (rows.indices[lo:hi] >= 256 + 65536).sum() > 10  # the row holds 3-grams
 
 
+def assert_row_order_equals_a_lexsort(doc_edge, col_bits, seed):
+    # every (doc, col) of 4 docs about doc_edge and 40 cols that take col_bits
+    # bits, shuffled, with counts that take 8 bits
+    rng = np.random.default_rng(seed)
+    cell = rng.permutation(4 * 40)
+    doc, col = doc_edge - 2 + cell // 40, (1 << col_bits) - 1 - cell % 40
+    count = rng.integers(1, 256, size=cell.shape[0]).astype(np.int32)
+    count[0] = 255
+    got = vectorize._row_order(doc, col, count)
+    order = np.lexsort((col, doc))
+    for got_part, part in zip(got, (doc, col, count)):
+        assert got_part.tolist() == part[order].tolist()
+
+
 @pytest.mark.parametrize("col_bits", [13, 18, 19])
 def test_row_order_equals_a_lexsort_on_both_sides_of_63_bits(col_bits):
-    # 12 entries take 4 position bits beside 41 doc bits: the packed doc, col,
-    # position keys fill 58 and 63 bits, and at 64 the keys are argsorted; docs
-    # on both sides of 2**40 would wrap apart in a 64-bit packed key
-    rng = np.random.default_rng(col_bits)
-    doc = 2**40 - 2 + rng.integers(0, 4, size=12)
-    col = (1 << col_bits) - 1 - rng.choice(40, size=12, replace=False)
-    order = vectorize._row_order(doc, col, 41, col_bits)
-    assert order.tolist() == np.lexsort((col, doc)).tolist()
+    # docs on both sides of 2**36 take 37 bits: the packed doc, col, count keys
+    # fill 58 and 63 bits, and at 64 the entries are lexsorted
+    assert_row_order_equals_a_lexsort(2**36, col_bits, col_bits)
+
+
+@pytest.mark.parametrize("col_bits", [11, 12, 13])
+def test_row_order_equals_a_lexsort_on_both_sides_of_32_bits(col_bits):
+    # docs on both sides of 2**11 take 12 bits: the keys fill 31 bits (int32),
+    # 32 (uint32: a doc past 2**11 sets the top bit, which an int32 would read as
+    # a sign and sort first) and 33 (int64)
+    assert vectorize._key_dtype(20 + col_bits) == (np.int32, np.uint32, np.int64)[col_bits - 11]
+    assert_row_order_equals_a_lexsort(2**11, col_bits, col_bits)
 
 
 ONE_COUNT_CONFIGS = [FeatureConfig("tfidf_byte"), FeatureConfig("hist_endian_byte")] + [
