@@ -442,16 +442,13 @@ def _score_knn(model, X):
     # a stable sort puts the lower training index first among equal distances
     near = np.argsort(dist, axis=1, kind="stable")[:, :k]
     near_dist = np.take_along_axis(dist, near, axis=1)
-    near_label = ty[near]
-    scores = np.full((X.shape[0], len(model.labels)), -1.0)  # no votes
-    for c in range(len(model.labels)):
-        mask = near_label == c
-        votes = mask.sum(axis=1)
-        voted = votes > 0
-        mean_d = np.where(mask, near_dist, 0.0).sum(axis=1)[voted] / votes[voted]
-        # votes dominate; closer neighborhoods break vote ties
-        scores[voted, c] = votes[voted] - mean_d / (1.0 + mean_d)
-    return scores
+    # mask[i, c, j]: query i's j-th neighbour has label c.  Each (i, c) sums one row of k
+    # masked distances in numpy's pairwise order (a bincount's running sum differs from k = 8)
+    mask = ty[near][:, None, :] == np.arange(len(model.labels))[:, None]
+    votes = mask.sum(axis=2)
+    mean_d = np.where(mask, near_dist[:, None, :], 0.0).sum(axis=2) / np.maximum(votes, 1)
+    # votes dominate; closer neighborhoods break vote ties; a label with no votes scores -1
+    return np.where(votes > 0, votes - mean_d / (1.0 + mean_d), -1.0)
 
 
 class _Kind(NamedTuple):

@@ -61,9 +61,6 @@ class Corpus:
             if d.id in seen:
                 raise CorpusError(f"duplicate document id {d.id!r}")
             seen.add(d.id)
-        self._hold(docs)
-
-    def _hold(self, docs: tuple[Document, ...]) -> None:
         self.documents = docs
         self.label_set = tuple(sorted({d.label for d in docs if d.label is not None}))
 
@@ -78,12 +75,6 @@ class Corpus:
         for i, d in enumerate(self.documents):
             if d.label is not None:
                 out.setdefault(d.label, []).append(i)
-        return out
-
-    def subset(self, indices: Sequence[int]) -> "Corpus":
-        """The documents at distinct ``indices``, taken as they are: this corpus checked them."""
-        out = object.__new__(Corpus)
-        out._hold(tuple(self.documents[i] for i in indices))
         return out
 
 
@@ -262,7 +253,8 @@ def split(corpus: Corpus, spec: SplitSpec, repeat_index: int) -> tuple[Corpus, C
         sel = idxs[start : start + need]
         train_idx.extend(sel[: spec.train_per_class])
         test_idx.extend(sel[spec.train_per_class :])
-    return corpus.subset(sorted(train_idx)), corpus.subset(sorted(test_idx))
+    docs = corpus.documents
+    return Corpus([docs[i] for i in sorted(train_idx)]), Corpus([docs[i] for i in sorted(test_idx)])
 
 
 # ---------------------------------------------------------------------------

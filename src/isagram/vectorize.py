@@ -19,8 +19,8 @@ character's rank in the sorted alphabet, and a vocabulary holds only what
 was fitted on top of that.  Each batch is encoded once (``_terms``; in char
 mode one vectorised ``codec.encode_digits`` call) and counted once:
 Terms are uint8, and ``gram_table`` gives the distinct (doc, code, count)
-triples for each n = 1, 2, 3 from one sort of shift-packed keys (int32 up
-to 31 bits, uint32 at 32, else int64), in the order its reader wants;
+triples for each n = 1, 2, 3 from one sort of shift-packed unsigned keys
+(uint32 up to 32 bits, else uint64), in the order its reader wants;
 windows that run past their document's end sort last and are cut off.  The
 1- and 2-gram tables are doc-major, so their TF-IDF blocks already lie in
 CSR order.  The 3-gram table is code-major, so its distinct codes are its
@@ -29,7 +29,7 @@ keeps, and a transform looks each of them up once in the vocabulary; its
 entries alone are then put into rank order within each row by one in-place
 sort of packed (doc, col, count) keys (``_row_order``).  Every block is doc-major
 and carries per-document entry counts, so TF scales, norms and row positions
-are ``np.repeat``s of per-document arrays, not gathers through the int32
+are ``np.repeat``s of per-document arrays, not gathers through the uint32
 tables; ``_csr`` writes each block straight into the rows, with no sort of the
 whole batch.  One pass over n reads each table both to fit and to transform.
 ``FeatureConfig.fit_transform`` fits a schema and returns the training rows
@@ -68,7 +68,8 @@ class GramVocabulary:
     1- and 2-gram blocks are implicit full enumerations in code order, so
     only the selected 3-gram codes are stored (in rank order, which is the
     feature-block order).  ``idf3`` aligns with ``codes3``.  The alphabet the
-    codes count in is the schema's (``FeatureSchema.alphabet``).
+    codes count in is the schema's (``FeatureSchema.alphabet``).  Raises
+    ValueError if a code repeats: its second column could never be reached.
     """
 
     codes3: np.ndarray
@@ -79,8 +80,11 @@ class GramVocabulary:
 
     def __post_init__(self):
         order = np.argsort(self.codes3)
-        object.__setattr__(self, "sorted3", self.codes3[order])
-        object.__setattr__(self, "pos3", order.astype(np.int64))
+        sorted3 = self.codes3[order]
+        if (sorted3[1:] == sorted3[:-1]).any():  # np.unique would import numpy.ma: 12 ms
+            raise ValueError("3-gram codes repeat")
+        object.__setattr__(self, "sorted3", sorted3)
+        object.__setattr__(self, "pos3", order)
 
 
 def term_alphabet(encoding: Optional[codec.Encoding]) -> Optional[str]:
@@ -100,9 +104,9 @@ def gram3_terms(codes3: np.ndarray, alphabet: Optional[str]) -> list[str]:
 def terms3_to_codes(terms: Sequence[str], alphabet: Optional[str]) -> np.ndarray:
     """Inverse of ``gram3_terms``, for model deserialization.
 
-    Raises ValueError (TypeError for a term that is not a string) unless the
-    terms are distinct and each is written as ``gram3_terms`` writes one: six
-    lowercase hex digits, or three symbols of ``alphabet``.
+    Raises ValueError (TypeError for a term that is not a string) unless each
+    term is written as ``gram3_terms`` writes one: six lowercase hex digits, or
+    three symbols of ``alphabet``.  ``GramVocabulary`` checks that they are distinct.
     """
     # a byte 3-gram's code is its six hex digits read in base 16
     digits, width = ("0123456789abcdef", 6) if alphabet is None else (alphabet, 3)
@@ -114,11 +118,7 @@ def terms3_to_codes(terms: Sequence[str], alphabet: Optional[str]) -> np.ndarray
     symbols = value[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
     if (symbols < 0).any():
         raise ValueError("3-gram terms hold a character outside the alphabet")
-    codes = symbols.reshape(-1, width) @ len(digits) ** np.arange(width - 1, -1, -1)
-    ordered = np.sort(codes)  # np.unique would import numpy.ma, 12 ms of every predict
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("3-gram terms repeat")
-    return codes
+    return symbols.reshape(-1, width) @ len(digits) ** np.arange(width - 1, -1, -1)
 
 
 def _check_method(method: str, encoding: Optional[codec.Encoding]) -> None:
@@ -141,6 +141,8 @@ class FeatureSchema:
         _check_method(self.method, self.encoding)
         if self.is_tfidf and self.vocab is None:
             raise ValueError(f"{self.method} schema must be fitted (FeatureConfig.fit_transform)")
+        if not self.is_tfidf and self.vocab is not None:
+            raise ValueError(f"{self.method} schema takes no vocabulary")
         if self.vocab is not None:
             v, b = self.vocab, self.base
             if (v.idf1.shape, v.idf2.shape, v.idf3.shape) != ((b,), (b * b,), v.codes3.shape):
@@ -203,7 +205,7 @@ def gram_table(
     packed with shifts, and one sort of the keys yields the table: sorted by
     code, then doc (``code << doc_bits | doc``), or with ``doc_major`` by doc,
     then code (``doc << code_bits | code``), which is the order of CSR rows.
-    Keys are int32 when code and doc bits add up to at most 31, else int64.
+    Keys are uint32 when code and doc bits add up to at most 32, else uint64.
     A window that runs past its document's end gets the key type's largest
     value instead, so it sorts last and the sorted keys are cut before it; a
     real key equal to that value is interchangeable with it.
@@ -215,7 +217,7 @@ def gram_table(
     code = flat[:m].astype(dtype)
     for j in range(1, n):
         code *= base
-        np.add(code, flat[j : j + m], out=code, casting="unsafe")  # terms < base fit any key type
+        np.add(code, flat[j : j + m], out=code, casting="unsafe", dtype=dtype)  # terms < base
     doc = np.repeat(np.arange(n_docs, dtype=dtype), np.diff(offsets))[:m]
     high, low = (doc, code) if doc_major else (code, doc)
     low_bits = code_bits if doc_major else doc_bits
@@ -235,14 +237,14 @@ def gram_table(
     high = head >> low_bits
     head &= (1 << low_bits) - 1
     doc, code = (high, head) if doc_major else (head, high)
-    # int32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
-    return (doc.astype(np.int32, copy=False), code.astype(np.int32, copy=False),
-            np.diff(bounds).astype(np.int32))
+    # uint32 halves the tables' memory: docs, codes (< 256**3) and counts all fit
+    return (doc.astype(np.uint32, copy=False), code.astype(np.uint32, copy=False),
+            np.diff(bounds).astype(np.uint32))
 
 
 def _key_dtype(bits: int):
-    """The type of packed keys of ``bits`` value bits: int32, uint32 at exactly 32, else int64."""
-    return np.int32 if bits <= 31 else np.uint32 if bits == 32 else np.int64
+    """The type of packed keys of ``bits`` value bits: uint32 up to 32, else uint64."""
+    return np.uint32 if bits <= 32 else np.uint64
 
 
 def _run_bounds(a: np.ndarray) -> np.ndarray:
@@ -360,15 +362,15 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
 def _row_order(doc: np.ndarray, col: np.ndarray, count: np.ndarray):
     """(doc, col, count) of unique (doc, col) entries sorted by doc, then col: one
     in-place sort of ``doc << (col_bits + cnt_bits) | col << cnt_bits | count``
-    keys of ``_key_dtype`` (past 63 bits a lexsort).  Docs and cols leave as intp."""
+    keys of ``_key_dtype`` (past 64 bits a lexsort).  Docs and cols leave as intp."""
     doc_bits, col_bits, cnt_bits = (int(a.max(initial=0)).bit_length() for a in (doc, col, count))
-    if doc_bits + col_bits + cnt_bits > 63:
+    if doc_bits + col_bits + cnt_bits > 64:
         order = np.lexsort((col, doc))
         return doc[order], col[order], count[order]
     key = doc.astype(_key_dtype(doc_bits + col_bits + cnt_bits))
     for part, bits in ((col, col_bits), (count, cnt_bits)):
         key <<= bits
-        np.bitwise_or(key, part, out=key, casting="unsafe")  # each part fits its bits
+        np.bitwise_or(key, part, out=key, casting="unsafe", dtype=key.dtype)  # part fits its bits
     key.sort()
     col = (key >> cnt_bits & ((1 << col_bits) - 1)).astype(np.intp)
     return (key >> (col_bits + cnt_bits)).astype(np.intp), col, key & ((1 << cnt_bits) - 1)

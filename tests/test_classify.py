@@ -162,6 +162,42 @@ def test_knn_k_clamped_to_train_size():
     assert predict_matrix(model, CsrRows.from_dense([[0.05]]))[0] == ["A"]
 
 
+def knn_scores_label_by_label(model, X):
+    """knn scores from one pass of masks per label: the reference for ``_score_knn``."""
+    T, ty = model.parameters["train_matrix"], model.parameters["train_label_idx"]
+    k = min(int(model.spec.hyperparameters["k"]), T.shape[0])
+    dist = np.sqrt(np.maximum(classify._squared_distances(X, T), 0.0))
+    near = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    near_dist, near_label = np.take_along_axis(dist, near, axis=1), ty[near]
+    scores = np.full((X.shape[0], len(model.labels)), -1.0)
+    for c in range(len(model.labels)):
+        mask = near_label == c
+        votes = mask.sum(axis=1)
+        voted = votes > 0
+        mean_d = np.where(mask, near_dist, 0.0).sum(axis=1)[voted] / votes[voted]
+        scores[voted, c] = votes[voted] - mean_d / (1.0 + mean_d)
+    return scores
+
+
+# few distinct coordinates: equal distances, zero distances and tied votes are common
+KNN_COORDINATES = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_knn_votes_equal_a_loop_over_labels(data):
+    # k reaches past 8, where numpy sums a row of k pairwise, not one value at a time
+    n_train, width = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 3))
+    point = st.lists(KNN_COORDINATES, min_size=width, max_size=width)
+    train = data.draw(st.lists(point, min_size=n_train, max_size=n_train))
+    labels = ["a", "b", *data.draw(st.lists(st.sampled_from("abcde"), min_size=n_train - 2,
+                                            max_size=n_train - 2))]
+    spec = ClassifierSpec("knn", {"k": data.draw(st.integers(1, 40))})
+    model = fit_vectors(spec, CsrRows.from_dense(train), labels)
+    queries = CsrRows.from_dense(data.draw(st.lists(point, min_size=1, max_size=8)))
+    assert same_bits(classify._score_knn(model, queries), knn_scores_label_by_label(model, queries))
+
+
 # ---------------------------------------------------------------------------
 # convergence and determinism
 # ---------------------------------------------------------------------------

@@ -57,19 +57,16 @@ def test_document_takes_any_other_text():
     assert Document(b"\x01", None, "-").label is None
 
 
-def test_subset_takes_checked_documents_and_keeps_its_own_labels(monkeypatch):
+def test_corpus_keeps_the_order_of_its_documents_and_its_own_labels():
     c = make_corpus(3)
-    with monkeypatch.context() as m:  # a subset is not checked again
-        m.setattr(Corpus, "__init__", lambda self, docs: pytest.fail("subset re-validated"))
-        sub = c.subset([4, 0, 1])
-        only_a = c.subset([0, 2])
-        empty = c.subset([])
-    assert sub.documents == (c.documents[4], c.documents[0], c.documents[1])
-    assert sub.label_set == ("a", "b") and only_a.label_set == ("a",)
+    part = Corpus([c.documents[4], c.documents[0], c.documents[1]])
+    only_a = Corpus([c.documents[0], c.documents[2]])
+    empty = Corpus([])
+    assert part.documents == (c.documents[4], c.documents[0], c.documents[1])
+    assert part.label_set == ("a", "b") and only_a.label_set == ("a",)
     assert len(empty) == 0 and empty.label_set == ()
-    # built directly, a corpus still checks its documents
     with pytest.raises(CorpusError, match="duplicate"):
-        Corpus(sub.documents + only_a.documents)
+        Corpus(part.documents + only_a.documents)
     with pytest.raises(CorpusError, match="empty payload"):
         Corpus(only_a.documents + (Document(b"", "a", "new"),))
 

@@ -81,6 +81,20 @@ def test_vocabulary_whose_alphabet_is_not_the_encodings_is_refused(
     assert capsys.readouterr().err.startswith("data error: malformed model body")
 
 
+def test_histogram_schema_with_a_vocabulary_is_refused(capsys, tmp_path):
+    # save_model writes no vocabulary for a histogram schema: here a byte vocabulary,
+    # whose IDF lengths fit hist-byte's 256 symbols, is added to the hist cnb fixture
+    vocab = json.loads(vocabulary_model(tmp_path, "tfidf-byte").read_text().splitlines()[0])
+    path = tmp_path / "hist.model"
+    path.write_bytes((FIXTURES / "format21_hist_byte_cnb.model").read_bytes())
+    rewrite_with_valid_checksum(path, lambda p: p["schema"].update(vocab=vocab["schema"]["vocab"]))
+    with pytest.raises(classify.ModelFormatError, match="malformed model body.*no vocabulary"):
+        load_model(path)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(path), "--input", str(FIXTURES / "queries.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed model body")
+
+
 def vocabulary_model(tmp_path, source) -> Path:
     """A TF-IDF model file: a fresh ``tfidf-byte`` cnb fit, or a copy of a fixture."""
     path = tmp_path / "edited.model"

@@ -115,7 +115,7 @@ def test_doc_major_gram_table_equals_a_per_document_counter_in_doc_then_code_ord
 @pytest.mark.parametrize("doc_major", [False, True])
 def test_gram_table_keys_past_int32_equal_the_counter(doc_major):
     # 2**16 + 1 documents need 17 doc bits and byte 3-grams 24 code bits: 41 in
-    # all, so a key packed or shifted in int32 (the table's doc dtype) would wrap
+    # all, so a key packed or shifted in 32 bits (the table's doc width) would wrap
     docs = np.random.default_rng(3).integers(0, 256, size=(2**16 + 1, 3)).tolist()
     assert batch_table(docs, 3, 256, doc_major) == counter_table(docs, 3, 256, doc_major)
 
@@ -125,9 +125,9 @@ def test_gram_table_keys_past_int32_equal_the_counter(doc_major):
 @pytest.mark.parametrize("n_docs", [2**15, 2**15 + 1, 2**16])
 def test_gram_table_at_the_int32_key_edge_equals_the_counter(n_docs, dtype, doc_major):
     # byte 2-grams take 16 code bits: 2**15 documents take 15 doc bits, so keys
-    # fill 31 bits and are int32; one more document makes 32 bits and uint32
-    # keys, whose top bit an int32 would read as a sign; at 2**16 documents the
-    # largest real key is all ones, the value that cuts off a boundary window
+    # fill 31 bits; one more document makes 32 bits, whose top bit an int32 key
+    # would read as a sign (both are uint32); at 2**16 documents the largest
+    # real key is all ones, the value that cuts off a boundary window
     docs = np.random.default_rng(5).integers(0, 256, size=(n_docs, 3)).tolist()
     docs[-1] = [255, 255, 255]  # the largest code in the last document: the largest key
     assert batch_table(docs, 2, 256, doc_major, dtype) == counter_table(docs, 2, 256, doc_major)

@@ -53,6 +53,12 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     assert not hasattr(isagram.codec, "strip_padding")
     # the batch encoder reads whole groups and masks off padding digits, with no index array
     assert not hasattr(isagram.codec, "_runs")
+    # a Corpus is built one way, and split builds its parts that way too
+    for name in ("subset", "_hold"):
+        assert not hasattr(isagram.corpus.Corpus, name)
+    # packed count and order keys are unsigned, so no key's top bit reads as a sign
+    key_types = {isagram.vectorize._key_dtype(bits).__name__ for bits in range(1, 65)}
+    assert key_types == {"uint32", "uint64"}
     # the alphabet and its size come from the schema's encoding alone
     vocab = isagram.vectorize.GramVocabulary
     fields = [f.name for f in dataclasses.fields(vocab)]

@@ -118,16 +118,26 @@ def assert_row_order_equals_a_lexsort(doc_edge, col_bits, seed):
 @pytest.mark.parametrize("col_bits", [13, 18, 19])
 def test_row_order_equals_a_lexsort_on_both_sides_of_63_bits(col_bits):
     # docs on both sides of 2**36 take 37 bits: the packed doc, col, count keys
-    # fill 58 and 63 bits, and at 64 the entries are lexsorted
+    # fill 58, 63 and 64 bits, all uint64
     assert_row_order_equals_a_lexsort(2**36, col_bits, col_bits)
+
+
+@pytest.mark.parametrize("col_bits", [19, 20])
+def test_row_order_equals_a_lexsort_on_both_sides_of_64_bits(col_bits, monkeypatch):
+    # the keys fill 64 bits (uint64: a doc past 2**36 sets the top bit, which an
+    # int64 would read as a sign and sort first) and 65, past any key: a lexsort
+    lexsorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or lexsort(keys))
+    assert_row_order_equals_a_lexsort(2**36, col_bits, col_bits)
+    assert len(lexsorts) == (1 if col_bits == 19 else 2)  # the reference's, then _row_order's
 
 
 @pytest.mark.parametrize("col_bits", [11, 12, 13])
 def test_row_order_equals_a_lexsort_on_both_sides_of_32_bits(col_bits):
-    # docs on both sides of 2**11 take 12 bits: the keys fill 31 bits (int32),
-    # 32 (uint32: a doc past 2**11 sets the top bit, which an int32 would read as
-    # a sign and sort first) and 33 (int64)
-    assert vectorize._key_dtype(20 + col_bits) == (np.int32, np.uint32, np.int64)[col_bits - 11]
+    # docs on both sides of 2**11 take 12 bits: the keys fill 31 bits, 32 (uint32:
+    # a doc past 2**11 sets the top bit, which an int32 would read as a sign and
+    # sort first) and 33 (uint64)
+    assert vectorize._key_dtype(20 + col_bits) == (np.uint32, np.uint32, np.uint64)[col_bits - 11]
     assert_row_order_equals_a_lexsort(2**11, col_bits, col_bits)
 
 
