@@ -146,28 +146,33 @@ def _row_blocks(cumulative: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return blocks[1:]
 
 
-def _dot_t(X: CsrRows, W: np.ndarray) -> np.ndarray:
-    """X @ W.T, one bincount per row of W over the stored values times that row,
-    in blocks of whole rows read position-major (a radix argsort of positions in
-    the row): consecutive adds go to different rows, and each row still adds its
-    products in stored order from 0.0.  One scratch set serves all blocks; "wrap"
-    never wraps an index in range, and unlike "raise" keeps no buffer of its own."""
-    ptr, out = X.indptr, np.empty((X.shape[0], W.shape[0]))
+def _dot_t(X: CsrRows, *terms: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """values @ W.T for each (values, W) of ``terms``, ``values`` holding one value
+    per stored value of X: one bincount per row of W over the values times that
+    row, in blocks of whole rows read position-major (a radix argsort of positions
+    in the row): consecutive adds go to different rows, and each row still adds
+    its products in stored order from 0.0.  One cut, one permutation and one
+    scratch set serve all terms and blocks; "wrap" never wraps an index in range,
+    and unlike "raise" keeps no buffer of its own."""
+    ptr, outs = X.indptr, [np.empty((X.shape[0], W.shape[0])) for _, W in terms]
     longest = np.diff(ptr).max(initial=0)
     size = max(min(ptr[-1], _DOT_BLOCK_VALUES), longest)  # the largest block's values
-    cols, vals, rows, buf = (np.empty(size, dtype=t) for t in (np.intp, float, np.intp, float))
+    cols, rows = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    buf, *vals = (np.empty(size) for _ in range(len(terms) + 1))
     pos_type = np.min_scalar_type(longest - 1)  # uint8 sorts in one pass
     for lo, hi in _row_blocks(ptr, _DOT_BLOCK_VALUES):
         a, k = ptr[lo], ptr[hi] - ptr[lo]
         row = np.repeat(np.arange(hi - lo), np.diff(ptr[lo : hi + 1]))
         order = np.argsort((np.arange(a, a + k) - ptr[lo:hi][row]).astype(pos_type), kind="stable")
-        for src, dst in ((X.indices[a:], cols), (X.data[a:], vals), (row, rows)):
+        gathers = [(X.indices[a:], cols), (row, rows)] + [(v[a:], d) for (v, _), d in zip(terms, vals)]
+        for src, dst in gathers:
             np.take(src, order, out=dst[:k], mode="wrap")
-        for c in range(W.shape[0]):
-            np.take(W[c], cols[:k], out=buf[:k], mode="wrap")
-            buf[:k] *= vals[:k]
-            out[lo:hi, c] = np.bincount(rows[:k], weights=buf[:k], minlength=hi - lo)
-    return out
+        for (_, W), v, out in zip(terms, vals, outs):
+            for c in range(W.shape[0]):
+                np.take(W[c], cols[:k], out=buf[:k], mode="wrap")
+                buf[:k] *= v[:k]
+                out[lo:hi, c] = np.bincount(rows[:k], weights=buf[:k], minlength=hi - lo)
+    return outs
 
 
 def _row_slices(X: CsrRows) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -362,7 +367,7 @@ def _linear(weights: str, bias: Optional[str] = None) -> Callable:
     stored per-label ``bias`` if the kind has one."""
     def score(model, X):
         p = model.parameters
-        out = _dot_t(X, p[weights])
+        out, = _dot_t(X, (X.data, p[weights]))
         if bias is not None:
             out += p[bias]
         return out
@@ -375,8 +380,8 @@ def _score_gnb(model, X):
     # sum_j (x_j - mean_j)^2 / var_j is sum_j mean_j^2 / var_j, one constant
     # per class, plus x_j * (x_j - 2 mean_j) / var_j over the stored x_j
     const = p["log_prior"] - 0.5 * (np.log(2.0 * np.pi * var) + mean * mean / var).sum(axis=1)
-    squares = CsrRows(X.indptr, X.indices, X.data * X.data, X.shape)
-    return const[None, :] - 0.5 * _dot_t(squares, 1.0 / var) + _dot_t(X, mean / var)
+    squares, values = _dot_t(X, (X.data * X.data, 1.0 / var), (X.data, mean / var))
+    return const[None, :] - 0.5 * squares + values
 
 
 # (query value, training value) products that knn holds at once

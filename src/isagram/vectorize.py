@@ -344,7 +344,8 @@ def _tfidf(flat: np.ndarray, offsets: np.ndarray, base: int, vocab=None,
             col = np.repeat(rank, np.diff(bounds))  # a vocabulary gram's column is its rank
             keep = col >= 0
             doc, count, col = doc[keep].astype(np.intp), count[keep], col[keep]
-        value = count * (idfs[-1][col] * (tf_scale if n < 3 else tf_scale[doc]))
+        if n < 3 or normalize:  # 3-gram values in code order serve the norms alone
+            value = count * (idfs[-1][col] * (tf_scale if n < 3 else tf_scale[doc]))
         if normalize:  # each row's squares add up in (n, code) order, one at a time
             np.add.at(norm_sq, doc, value * value)
         if n == 3:  # code to rank order within each row; the same product keeps its bits

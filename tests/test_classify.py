@@ -493,12 +493,18 @@ def csr_rows(cells: list[dict], width: int) -> CsrRows:
 
 @st.composite
 def csr_and_weights(draw):
-    """CSR rows (empty rows, rows of one value, stored zeros) and a class x column W."""
-    width, classes = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    """CSR rows (empty rows, rows of one value, stored zeros), a class x column W,
+    and a second term: other values on the same rows and a W of other classes."""
+    width, classes, others = (draw(st.integers(1, n)) for n in (9, 4, 4))
     cells = [draw(st.dictionaries(st.integers(0, width - 1), WEIGHTS, max_size=width))
              for _ in range(draw(st.integers(0, 8)))]
-    W = np.array(draw(st.lists(WEIGHTS, min_size=classes * width, max_size=classes * width)))
-    return csr_rows(cells, width), W.reshape(classes, width)
+    X = csr_rows(cells, width)
+
+    def floats(n):
+        return np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+
+    W, W2 = (floats(k * width).reshape(k, width) for k in (classes, others))
+    return X, W, floats(X.data.size), W2
 
 
 # blocks of 1, 2 and 3 values cut rows apart from their neighbours and hold
@@ -509,14 +515,18 @@ BLOCK_VALUES = st.sampled_from([1, 2, 3, classify._DOT_BLOCK_VALUES])
 @settings(max_examples=300, deadline=None)
 @given(csr_and_weights(), BLOCK_VALUES)
 def test_dot_t_is_bit_identical_to_a_bincount_per_class(case, block):
-    X, W = case
+    X, W, values2, W2 = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(classify, "_DOT_BLOCK_VALUES", block)
-        out = classify._dot_t(X, W)
+        out, = classify._dot_t(X, (X.data, W))
+        terms = [(X.data, W), (values2, W2)]
+        both = classify._dot_t(X, *terms)  # one cut and permutation serve both terms
     rows = X.row_ids()
-    for c in range(W.shape[0]):
-        want = np.bincount(rows, X.data * W[c, X.indices], minlength=X.shape[0])
-        assert same_bits(out[:, c], want)
+    for (values, weights), got in zip(terms, both):
+        for c in range(weights.shape[0]):
+            want = np.bincount(rows, values * weights[c, X.indices], minlength=X.shape[0])
+            assert same_bits(got[:, c], want)
+    assert same_bits(both[0], out)
 
 
 @pytest.fixture(scope="module")
@@ -558,7 +568,7 @@ def test_dot_t_holds_one_product_buffer():
     W = rng.standard_normal((12, width))
     tracemalloc.start()
     try:
-        out = classify._dot_t(X, W)
+        out, = classify._dot_t(X, (X.data, W))
         peak = tracemalloc.get_traced_memory()[1] - out.nbytes
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from isagram import classify, cli, codec, corpus, vectorize
+from isagram import classify, cli, codec, corpus, evaluate, vectorize
 from isagram.cli import main
 from test_classify import (
     MALFORMED_ARRAYS,
@@ -662,6 +662,24 @@ def test_evaluate_writes_reports_and_ranks_stdout(capsys, tmp_path):
     means = [float(l.split()[2]) for l in lines[1:]]
     assert means == sorted(means, reverse=True)
     assert len(means) == 4
+
+
+def test_only_evaluate_sets_the_heap_return_policy(capsys, tmp_path, monkeypatch):
+    # the policy is process-wide: train and predict keep glibc's defaults
+    calls = []
+    monkeypatch.setattr(evaluate, "_keep_freed_heap", lambda: calls.append("evaluate"))
+    corpus_path, _ = make_corpus_file(tmp_path)
+    model_path = tmp_path / "m.model"
+    rc, _, _ = run(capsys, "train", "--corpus", str(corpus_path), "--features", "tfidf-byte",
+                   "--model", "cnb", "--out", str(model_path))
+    assert rc == 0
+    assert run(capsys, "predict", "--model", str(model_path), "--input", str(corpus_path))[0] == 0
+    assert calls == []
+    rc, _, _ = run(capsys, "evaluate", "--corpus", str(corpus_path), "--repeats", "1",
+                   "--train-per-class", "20", "--test-per-class", "9",
+                   "--out-dir", str(tmp_path / "reports"))
+    assert rc == 0
+    assert calls == ["evaluate"]
 
 
 def test_evaluate_unknown_model_is_usage_error(capsys, tmp_path):
