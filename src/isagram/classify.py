@@ -108,8 +108,7 @@ def fit_vectors(
         raise CorpusError("training corpus contains unlabeled documents")
     if X.shape[0] != len(labels):
         raise ValueError("X must be 2-D with one row per label")
-    if not np.isfinite(X.data).all():
-        raise ValueError("feature matrix contains NaN or inf")
+    X.check()
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise CorpusError("training data must contain at least 2 labels")
@@ -152,8 +151,8 @@ def _dot_t(X: CsrRows, *terms: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray
     row, in blocks of whole rows read position-major (a radix argsort of positions
     in the row): consecutive adds go to different rows, and each row still adds
     its products in stored order from 0.0.  One cut, one permutation and one
-    scratch set serve all terms and blocks; "wrap" never wraps an index in range,
-    and unlike "raise" keeps no buffer of its own."""
+    scratch set serve all terms and blocks.  "wrap" keeps no buffer of its own, unlike
+    "raise", and never wraps: ``predict_matrix`` has run ``X.check()``."""
     ptr, outs = X.indptr, [np.empty((X.shape[0], W.shape[0])) for _, W in terms]
     longest = np.diff(ptr).max(initial=0)
     size = max(min(ptr[-1], _DOT_BLOCK_VALUES), longest)  # the largest block's values
@@ -342,14 +341,11 @@ def _fit_linear_svm(spec, X, y, n_classes):
 
 def predict_matrix(model: TrainedModel, X: CsrRows) -> tuple[list[str], np.ndarray]:
     """Batch prediction on CSR rows; (labels, scores of shape (n, |labels|))."""
-    if not np.isfinite(X.data).all():
-        raise ValueError("feature matrix contains NaN or inf")
     row = _KINDS[model.spec.kind]
     width = next(model.parameters[n].shape[a.index("D")] for n, a in row.axes.items() if "D" in a)
     if X.shape[1] != width:
         raise ValueError(f"feature rows have {X.shape[1]} columns, the model takes {width}")
-    if X.indices.size and not 0 <= X.indices.min() <= X.indices.max() < width:
-        raise ValueError(f"feature rows store a column outside [0, {width})")
+    X.check()
     scores = row.score(model, X)
     winners = [model.labels[i] for i in np.argmax(scores, axis=1)]
     return winners, scores

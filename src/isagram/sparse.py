@@ -37,20 +37,25 @@ class CsrRows:
         return cls(indptr, cols, X[rows, cols], X.shape)
 
     def check(self) -> "CsrRows":
-        """These rows, if the arrays are well-formed CSR of ``shape``; else ValueError."""
+        """These rows, if well-formed CSR of ``shape`` with finite values; else ValueError."""
         rows, cols = self.shape
         indptr, indices, nnz = self.indptr, self.indices, self.data.shape[0]
         if indptr.shape != (rows + 1,) or indices.shape != (nnz,) or self.data.ndim != 1:
             raise ValueError("CSR array lengths do not match the shape")
-        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        lengths = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != nnz or (lengths < 0).any():
             raise ValueError("CSR indptr must rise from 0 to the number of stored values")
-        if nnz and (indices.min() < 0 or indices.max() >= cols):
-            raise ValueError("CSR column index out of range")
-        ascending = np.diff(indices) > 0
+        ascending = indices[1:] > indices[:-1]
         starts = indptr[1:-1]
         ascending[starts[(starts > 0) & (starts < nnz)] - 1] = True  # a row may start lower
         if not ascending.all():
             raise ValueError("CSR columns must ascend within a row")
+        filled = lengths > 0  # columns ascend, so a row's first and last bound the rest
+        if nnz and (indices[indptr[:-1][filled]].min() < 0
+                    or indices[indptr[1:][filled] - 1].max() >= cols):
+            raise ValueError(f"feature rows store a column outside [0, {cols})")
+        if not np.isfinite(self.data).all():
+            raise ValueError("feature matrix contains NaN or inf")
         return self
 
     def row_ids(self) -> np.ndarray:

@@ -455,7 +455,8 @@ class FeatureConfig:
         rows = _csr(len(train), schema.dimension, blocks)
         # The vocabulary outlives the pass but was allocated among its count tables;
         # fresh copies, made once those are freed, do not keep the freed heap from
-        # shrinking (without them peak RSS on protocol-byte was ~8 % higher).
+        # shrinking.  That pays where glibc's default thresholds hold: without them
+        # `isagram train` (tfidf-byte, cnb) peaked at 59.4 against 57.1 MiB.
         arrays = (np.copy(a) for a in (vocab.codes3, vocab.idf1, vocab.idf2, vocab.idf3))
         vocab = GramVocabulary(*arrays, vocab.fit_corpus_size)
         return FeatureSchema(self.method, self.encoding, vocab, self.normalize), rows

@@ -362,6 +362,34 @@ def test_predict_rejects_a_stored_column_outside_the_width(kind):
             predict_matrix(model, rows)
 
 
+# (indptr, indices, data) of 2 rows x 3 columns, each breaking one rule of CsrRows.check
+MALFORMED_ROWS = {
+    "column-at-width": ([0, 1, 2], [3, 0], [1.0, 1.0]),
+    "column-minus-one": ([0, 1, 2], [0, -1], [1.0, 1.0]),
+    "repeated-column": ([0, 1, 3], [0, 1, 1], [1.0, 1.0, 1.0]),
+    "descending-row": ([0, 1, 3], [0, 2, 1], [1.0, 1.0, 1.0]),
+    "indptr-past-values": ([0, 1, 3], [0, 1], [1.0, 1.0]),
+    "indptr-short-of-values": ([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0]),
+    "nan": ([0, 1, 2], [0, 1], [np.nan, 1.0]),
+    "inf": ([0, 1, 2], [0, 1], [1.0, np.inf]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+@pytest.mark.parametrize("kind", classify.KINDS)
+def test_fit_and_predict_refuse_rows_the_csr_check_refuses(kind, case):
+    # hand-built rows reach both entry points through the library API; neither
+    # may fold them into a weight, gather past them or raise a bare IndexError
+    X, labels = cloud_3class(n_per_class=5)
+    model = fit_vectors(ClassifierSpec(kind), X, labels)
+    rows = CsrRows(*(np.array(a) for a in MALFORMED_ROWS[case]), (2, 3))
+    rule = "CSR|outside|NaN or inf"
+    with pytest.raises(ValueError, match=rule):
+        fit_vectors(ClassifierSpec(kind), rows, ["a", "b"])
+    with pytest.raises(ValueError, match=rule):
+        predict_matrix(model, rows)
+
+
 def test_fit_rejects_unlabeled_corpus():
     docs = Corpus([Document(b"\x01\x02", "a", "1"), Document(b"\x03\x04", None, "2")])
     with pytest.raises(ValueError):

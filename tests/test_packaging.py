@@ -53,6 +53,8 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     assert not hasattr(isagram.codec, "strip_padding")
     # the batch encoder reads whole groups and masks off padding digits, with no index array
     assert not hasattr(isagram.codec, "_runs")
+    # Base85 text decodes through base64.a85decode and the canonical re-encode check
+    assert not hasattr(isagram.codec, "_b85_decode")
     # a Corpus is built one way, and split builds its parts that way too
     for name in ("subset", "_hold"):
         assert not hasattr(isagram.corpus.Corpus, name)
